@@ -19,7 +19,6 @@ from commdeg.groups import (
     GroupTable,
     center,
     centralizer,
-    conjugacy_classes,
     direct_product,
     power_map,
     semidirect_product,
@@ -27,10 +26,6 @@ from commdeg.groups import (
 from commdeg.presets import cyclic
 
 Rational = Fraction
-
-# Above this order, plain pair counting switches to class-size aggregation
-# (number of commuting pairs = sum over classes of |C| * |Z(rep)|).
-_PAIRWISE_MAX = 2000
 
 
 def _check_cap(G: GroupTable, order_cap) -> None:
@@ -88,19 +83,10 @@ def haar(G: GroupTable) -> Distribution:
     return Distribution(G, (w,) * G.order)
 
 
-def _commuting_pair_count(G: GroupTable) -> int:
-    if G.order <= _PAIRWISE_MAX:
-        return int(kernels.count_commuting_pairs(G.mult))
-    total = 0
-    for cls in conjugacy_classes(G):
-        total += len(cls) * centralizer(G, cls[0]).order
-    return total
-
-
 def degree_bruteforce(G: GroupTable, order_cap: int | None = None) -> DegreeReport:
     """d(G) by exhaustive ordered-pair counting."""
     _check_cap(G, order_cap)
-    count = _commuting_pair_count(G)
+    count = kernels.count_commuting_pairs(G.mult)
     return DegreeReport(
         value=Fraction(count, G.order**2),
         method="bruteforce",

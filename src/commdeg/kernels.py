@@ -1,0 +1,75 @@
+"""Counting kernels over Cayley tables.
+
+Each kernel compares the table against its transpose one tile at a time.
+A tile holds at most ``BLOCK_ENTRIES`` entries, so no temporary grows with
+n^2. The three counts stay separate computations because the exact routes
+in ``degrees`` check each other through them.
+"""
+from math import isqrt
+
+import numpy as np
+
+BACKEND = "numpy"
+
+# Largest number of entries in any temporary array a kernel allocates.
+# Square 256 x 256 tiles keep the transposed reads in cache: at order 2048
+# they count pairs several times faster than bands of whole rows.
+BLOCK_ENTRIES = 1 << 16
+
+
+def _tile_shape(n):
+    """(rows, columns) of a tile of at most BLOCK_ENTRIES entries; slices
+    past the table's edge are cut short by numpy."""
+    width = max(1, min(n, isqrt(BLOCK_ENTRIES)))
+    return BLOCK_ENTRIES // width, width
+
+
+def count_commuting_pairs(mult):
+    """Number of ordered pairs (x, y) with mult[x][y] == mult[y][x].
+
+    Counts the pairs x < y, doubles them and adds the n diagonal pairs.
+    """
+    mult = np.asarray(mult)
+    n = len(mult)
+    height, width = _tile_shape(n)
+    upper = 0
+    for s in range(0, n, height):
+        e = s + height
+        for t in range(s + 1, n, width):
+            u = t + width
+            same = mult[s:e, t:u] == mult[t:u, s:e].T
+            if t < e:  # the tile reaches the diagonal: keep columns y > x
+                same = np.triu(same, s - t + 1)
+            upper += int(np.count_nonzero(same))
+    return n + 2 * upper
+
+
+def count_commuting_pairs_mn(mult, pm, pn):
+    """Number of ordered pairs (x, y) with pm[x] and pn[y] commuting."""
+    mult = np.asarray(mult)
+    pm = np.asarray(pm)
+    pn = np.asarray(pn)
+    n = len(mult)
+    height, width = _tile_shape(n)
+    total = 0
+    for s in range(0, n, height):
+        xs = pm[s:s + height, None]
+        for t in range(0, n, width):
+            ys = pn[None, t:t + width]
+            total += int(np.count_nonzero(mult[xs, ys] == mult[ys, xs]))
+    return total
+
+
+def centralizer_sizes(mult):
+    """List of |Z(g, G)| for every element g."""
+    mult = np.asarray(mult)
+    n = len(mult)
+    height, width = _tile_shape(n)
+    sizes = np.zeros(n, dtype=np.int64)
+    for s in range(0, n, height):
+        e = s + height
+        for t in range(0, n, width):
+            u = t + width
+            same = mult[s:e, t:u] == mult[t:u, s:e].T
+            sizes[s:e] += np.count_nonzero(same, axis=1)
+    return sizes.tolist()

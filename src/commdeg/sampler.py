@@ -179,7 +179,12 @@ class DihedralPreset:
         return (2.0 * (ax - ay)) % 1.0 == 0.0
 
     def exact_degree(self, m, n):
-        return Fraction(1, (1 if m % 2 == 0 else 2) * (1 if n % 2 == 0 else 2))
+        # An even power maps every flip to the identity and every rotation
+        # to a generic rotation; an odd power keeps each flip a flip.
+        # Rotations commute, and a flip commutes with a generic rotation or
+        # flip with probability zero.
+        even = (m % 2 == 0) + (n % 2 == 0)
+        return (Fraction(1, 4), Fraction(3, 4), Fraction(1))[even]
 
 
 def _quat_mul(q, p):

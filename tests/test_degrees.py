@@ -260,15 +260,6 @@ def test_sign_flip_audit_odd_order_no_torsion():
     assert audit.value == degree_bruteforce(dihedral(5)).value
 
 
-def test_bruteforce_class_aggregation_branch(monkeypatch, q8):
-    """Above the pairwise cutoff, counting switches to class aggregation."""
-    import commdeg.degrees as degrees_mod
-
-    monkeypatch.setattr(degrees_mod, "_PAIRWISE_MAX", 4)
-    assert degree_bruteforce(q8).value == Fraction(5, 8)
-    assert degree_bruteforce(symmetric(4)).value == Fraction(5, 24)
-
-
 def test_large_product_uses_sampled_associativity_check():
     """Orders beyond 256 validate associativity by sampling; degrees still exact."""
     G = direct_product(direct_product(quaternion8(), quaternion8()), cyclic(8))

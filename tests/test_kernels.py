@@ -1,98 +1,84 @@
-"""Compiled and pure counting kernels must agree with each other and with
-an independent numpy evaluation.
+"""The counting kernels against the plain-loop oracles in conftest, with the
+default tile size and with tiles of a few entries.
 """
-import subprocess
-import sys
+import tracemalloc
 
-import numpy as np
 import pytest
 
 import commdeg.kernels as kernels
-from commdeg.kernels import pure
-from conftest import SUBPROCESS_ENV
+from commdeg.groups import power_map
+from commdeg.presets import cyclic
+from conftest import (
+    oracle_centralizer,
+    oracle_commuting_count,
+    oracle_commuting_count_mn,
+)
 
+POWERS = ((1, 1), (2, 1), (2, 3), (4, 4))
 
-def _compiled_or_skip():
-    try:
-        from commdeg.kernels import _ctables
-
-        return _ctables
-    except ImportError:
-        pytest.skip("compiled kernels not built")
-
-
-def _numpy_commuting_count(mult):
-    return int((mult == mult.T).sum())
-
-
-def test_backend_reports_something():
-    assert kernels.BACKEND in ("cython", "pure")
-
-
-def test_pure_matches_numpy_oracle(corpus):
-    for name, G in corpus.items():
-        if G.order > 64:
-            continue
-        assert pure.count_commuting_pairs(G.mult) == _numpy_commuting_count(G.mult), name
-
-
-def test_compiled_matches_pure(corpus):
-    ct = _compiled_or_skip()
-    for name, G in corpus.items():
-        assert ct.count_commuting_pairs(G.mult) == pure.count_commuting_pairs(G.mult), name
-        sizes_c = list(ct.centralizer_sizes(G.mult))
-        sizes_p = list(pure.centralizer_sizes(G.mult))
-        assert sizes_c == sizes_p, name
-
-
-def test_power_pair_kernels_agree(corpus):
-    ct = _compiled_or_skip()
-    from commdeg.groups import power_map
-
-    for name in ("Q8", "S4", "D6", "H3"):
-        G = corpus[name]
-        for m, n in ((1, 1), (2, 1), (2, 3), (4, 4)):
-            pm, pn = power_map(G, m), power_map(G, n)
-            assert ct.count_commuting_pairs_mn(G.mult, pm, pn) == (
-                pure.count_commuting_pairs_mn(G.mult, pm, pn)
-            ), (name, m, n)
-
-
-# Put a stand-in compiled module into the child's sys.modules before the
-# kernels package selects its backend, so the COMMDEG_KERNELS switch is
-# exercised whether or not the real extension is built.
-_PLANT_CTABLES = (
-    "import sys, types; "
-    "m = types.ModuleType('commdeg.kernels._ctables'); "
-    "m.BACKEND = 'cython'; "
-    "m.count_commuting_pairs = m.count_commuting_pairs_mn = m.centralizer_sizes = None; "
-    "sys.modules[m.__name__] = m; "
+# default tiles (one band of whole rows for the corpus), single entries,
+# and sizes that split rows and columns unevenly
+BLOCKS = pytest.mark.parametrize(
+    "block", [None, 1, 7, 40], ids=["default", "block1", "block7", "block40"]
 )
 
 
-def _child_backend(code, env):
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, check=True, env=env,
-    )
-    return out.stdout.strip()
+@pytest.fixture
+def tiles(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", block)
 
 
-def test_env_var_forces_pure_backend():
-    code = (
-        "import commdeg.kernels as k; print(k.BACKEND)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, check=True,
-        env={**SUBPROCESS_ENV, "COMMDEG_KERNELS": "pure"},
-    )
-    assert out.stdout.strip() == "pure"
+@pytest.fixture(scope="module")
+def tables(corpus):
+    return {name: (G, G.mult.tolist()) for name, G in corpus.items()}
 
-    unset = {k: v for k, v in SUBPROCESS_ENV.items() if k != "COMMDEG_KERNELS"}
-    assert _child_backend(_PLANT_CTABLES + code, unset) == "cython"
-    assert _child_backend(_PLANT_CTABLES + code, {**unset, "COMMDEG_KERNELS": "pure"}) == "pure"
+
+def test_backend_reports_something():
+    assert kernels.BACKEND == "numpy"
+
+
+@BLOCKS
+def test_pair_count_matches_oracle(tables, tiles):
+    for name, (G, table) in tables.items():
+        assert kernels.count_commuting_pairs(G.mult) == oracle_commuting_count(table), name
+
+
+@BLOCKS
+def test_power_pair_count_matches_oracle(tables, tiles):
+    for name, (G, table) in tables.items():
+        for m, n in POWERS:
+            got = kernels.count_commuting_pairs_mn(G.mult, power_map(G, m), power_map(G, n))
+            assert got == oracle_commuting_count_mn(table, m, n), (name, m, n)
+
+
+@BLOCKS
+def test_centralizer_sizes_match_oracle(tables, tiles):
+    for name, (G, table) in tables.items():
+        want = [len(oracle_centralizer(table, g)) for g in range(G.order)]
+        assert kernels.centralizer_sizes(G.mult) == want, name
 
 
 def test_centralizer_sizes_sum_equals_pair_count(q8):
-    assert sum(pure.centralizer_sizes(q8.mult)) == pure.count_commuting_pairs(q8.mult)
+    assert sum(kernels.centralizer_sizes(q8.mult)) == kernels.count_commuting_pairs(q8.mult)
+
+
+def test_temporaries_stay_within_block(monkeypatch):
+    """With small tiles, no kernel allocates anything near an n x n array."""
+    G = cyclic(512)
+    pm = power_map(G, 2)
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 1024)
+    calls = {
+        "pairs": lambda: kernels.count_commuting_pairs(G.mult),
+        "power pairs": lambda: kernels.count_commuting_pairs_mn(G.mult, pm, pm),
+        "centralizer sizes": lambda: kernels.centralizer_sizes(G.mult),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            assert call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an n x n boolean alone would take n^2 bytes
+        assert peak < G.order**2, (name, peak)

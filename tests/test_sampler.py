@@ -170,6 +170,30 @@ def test_estimate_dihedral_even_powers_certain():
     assert est.mean == 1.0 and est.exact == 1
 
 
+@pytest.mark.parametrize(
+    "m, n, exact",
+    [
+        (1, 1, Fraction(1, 4)),
+        (3, 5, Fraction(1, 4)),
+        (2, 2, Fraction(1)),
+        (4, 2, Fraction(1)),
+        (2, 3, Fraction(3, 4)),
+        (3, 2, Fraction(3, 4)),
+        (1, 2, Fraction(3, 4)),
+    ],
+)
+def test_dihedral_exact_degree_by_parity(m, n, exact):
+    # an even power sends a flip to the identity, which commutes with anything
+    assert get_sampler_preset("dihedral").exact_degree(m, n) == exact
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 2), (1, 2)])
+def test_estimate_dihedral_mixed_parity_consistent(m, n):
+    est = estimate_degree_mn("dihedral", m, n, 100000, 7)
+    assert est.exact == Fraction(3, 4)
+    assert est.consistency == "ok"
+
+
 def test_estimate_so3_exactly_zero():
     est = estimate_degree_mn("so3", 1, 1, 20000, 9)
     assert est.mean == 0.0
