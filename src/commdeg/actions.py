@@ -9,43 +9,19 @@ from fractions import Fraction
 import numpy as np
 
 from commdeg.degrees import Distribution
-from commdeg.groups import GroupTable, Subgroup
-
-# Composition law act[g][act[h][x]] == act[gh][x] is checked exhaustively
-# while |G| * setSize stays below this bound, sampled above it.
-_EXHAUSTIVE_MAX = 10**6
-_SAMPLE_TRIPLES = 200_000
+from commdeg.groups import GroupTable, Subgroup, check_action
 
 
 class FiniteAction:
-    """A finite group acting on a finite set via a |G| x setSize table."""
+    """A finite group acting on a finite set via a |G| x setSize table,
+    validated by ``groups.check_action`` (InvalidAction, a ValueError)."""
 
     __slots__ = ("group", "set_size", "act")
 
     def __init__(self, group: GroupTable, act):
-        act = np.ascontiguousarray(act, dtype=np.int32)
-        if act.shape[0] != group.order or act.ndim != 2:
-            raise ValueError("action table must have one row per group element")
-        n, x = act.shape
-        idx = np.arange(x, dtype=np.int32)
-        if not np.array_equal(np.sort(act, axis=1), np.broadcast_to(idx, (n, x))):
-            raise ValueError("some action row is not a permutation of the set")
-        if not np.array_equal(act[0], idx):
-            raise ValueError("identity row must be the identity permutation")
-        if n * x <= _EXHAUSTIVE_MAX:
-            for h in range(n):
-                if not np.array_equal(act[group.mult[:, h]], act[:, act[h]]):
-                    raise ValueError(f"action law fails against element {h}")
-        else:
-            rng = np.random.default_rng(n * 0x9E3779B1 + x)
-            g, h = rng.integers(0, n, size=(2, _SAMPLE_TRIPLES))
-            p = rng.integers(0, x, size=_SAMPLE_TRIPLES)
-            lhs = act[g, act[h, p]]
-            rhs = act[group.mult[g, h], p]
-            if not np.array_equal(lhs, rhs):
-                raise ValueError("action law fails on a sampled triple")
+        act = check_action(group, act)
         self.group = group
-        self.set_size = x
+        self.set_size = act.shape[1]
         act = act.copy()
         act.flags.writeable = False
         self.act = act

@@ -21,8 +21,8 @@ class OrderCapExceeded(CommdegError):
     """A closure or quadratic counting pass would exceed the order cap."""
 
 
-class InvalidAction(CommdegError):
-    """An action table is not by automorphisms / not a homomorphism."""
+class InvalidAction(CommdegError, ValueError):
+    """An action table is not a permutation action or not by automorphisms."""
 
 
 class NotNormal(CommdegError):

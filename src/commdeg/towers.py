@@ -250,6 +250,9 @@ def fc_class_growth(t: Tower, element_path) -> ClassGrowthReport:
         raise IncompatiblePath(
             f"path length {len(path)} does not match tower depth {t.depth}"
         )
+    for level, g in zip(t.levels, path):
+        if not 0 <= g < level.order:
+            raise IncompatiblePath(f"element {g} out of range at order {level.order}")
     for k, bond in enumerate(t.bonds):
         if int(bond.image[path[k + 1]]) != path[k]:
             raise IncompatiblePath(
@@ -258,8 +261,6 @@ def fc_class_growth(t: Tower, element_path) -> ClassGrowthReport:
             )
     sizes = []
     for level, g in zip(t.levels, path):
-        if not 0 <= g < level.order:
-            raise IncompatiblePath(f"element {g} out of range at order {level.order}")
         for cls in conjugacy_classes(level):
             if g in cls:
                 sizes.append(len(cls))

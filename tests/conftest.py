@@ -67,6 +67,40 @@ def oracle_commuting_count_mn(table, m, n_pow) -> int:
     )
 
 
+def oracle_is_associative(table) -> bool:
+    """(x y) z == x (y z) for every triple, one triple at a time."""
+    n = len(table)
+    return all(
+        table[table[x][y]][z] == table[x][table[y][z]]
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+    )
+
+
+def swap_intercalate(table):
+    """Copy of a Latin table with its first intercalate off row and column 0
+    swapped, or None when it has none.
+
+    An intercalate is a 2x2 subsquare: rows a, b and columns c, d with
+    table[a][c] == table[b][d] and table[a][d] == table[b][c]. Exchanging
+    its two symbols keeps the square Latin and the identity at 0; a group
+    table has one only if the group has an involution (c d^-1).
+    """
+    n = len(table)
+    pos = [{v: j for j, v in enumerate(row)} for row in table]
+    for a in range(1, n):
+        for b in range(a + 1, n):
+            for c in range(1, n):
+                d = pos[a][table[b][c]]
+                if d > c and table[b][d] == table[a][c]:
+                    out = [list(row) for row in table]
+                    out[a][c], out[a][d] = out[a][d], out[a][c]
+                    out[b][c], out[b][d] = out[b][d], out[b][c]
+                    return out
+    return None
+
+
 def oracle_inverse(table, g) -> int:
     return next(h for h in range(len(table)) if table[g][h] == 0)
 

@@ -18,6 +18,7 @@ from commdeg.actions import (
     translation_action,
 )
 from commdeg.degrees import Distribution, degree_bruteforce, haar
+from commdeg.errors import InvalidAction
 from commdeg.groups import centralizer
 from commdeg.presets import cyclic, elementary, quaternion8, symmetric
 
@@ -172,6 +173,22 @@ def test_action_validation_rejects_bad_rows():
     with pytest.raises(ValueError):
         # rows are permutations but the composition law fails
         FiniteAction(cyclic(4), [[0, 1, 2], [1, 2, 0], [2, 0, 1], [1, 2, 0]])
+    with pytest.raises(ValueError):
+        # V4 = <1, 2>: the law holds against element 1, fails against 2
+        FiniteAction(elementary(2, 2), [[0, 1, 2], [1, 0, 2], [1, 2, 0], [2, 1, 0]])
+
+
+@pytest.mark.parametrize("row", [1, 2, 500, 1000])
+def test_action_law_caught_in_any_row_at_order_1001(row):
+    # the translation action of C1001 with the images of points 3 and 7
+    # swapped in one row: every row is still a permutation
+    G = cyclic(1001)
+    act = G.mult.copy()
+    act[row, [3, 7]] = act[row, [7, 3]]
+    with pytest.raises(InvalidAction):
+        FiniteAction(G, act)
+    with pytest.raises(ValueError):
+        FiniteAction(G, act)
 
 
 def test_measure_validation(q8):

@@ -138,6 +138,25 @@ def test_tower_file_input(tmp_path):
     assert "antitone: OK" in out.stdout
 
 
+_C4 = {"kind": "preset", "name": "cyclic", "params": {"n": 4}}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("degree", {"kind": "quotient", "group": _C4, "normal": [0, 2, 9]}),
+    ("tower", {
+        "levels": [{"kind": "preset", "name": "cyclic", "params": {"n": 2}}, _C4],
+        "bonds": [[0, 1, 0, 5]],
+    }),
+])
+def test_exit_code_one_on_out_of_range_index(tmp_path, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = run_cli(command, "--group", str(path))
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
+
+
 def test_exit_code_one_on_missing_file():
     out = run_cli("degree", "--group", "/nonexistent/g.json")
     assert out.returncode == 1

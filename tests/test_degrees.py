@@ -260,8 +260,8 @@ def test_sign_flip_audit_odd_order_no_torsion():
     assert audit.value == degree_bruteforce(dihedral(5)).value
 
 
-def test_large_product_uses_sampled_associativity_check():
-    """Orders beyond 256 validate associativity by sampling; degrees still exact."""
+def test_large_product_validates_and_degree_exact():
+    """An order-512 product passes validation and its degree stays exact."""
     G = direct_product(direct_product(quaternion8(), quaternion8()), cyclic(8))
     assert G.order == 512
     assert degree_bruteforce(G).value == Fraction(25, 64)

@@ -1,7 +1,11 @@
 """Group construction and subgroup machinery."""
+import math
+import re
+
 import numpy as np
 import pytest
 
+from commdeg import groups, kernels
 from commdeg.errors import (
     InvalidAction,
     NonAssociative,
@@ -23,6 +27,7 @@ from commdeg.groups import (
     power_map,
     quotient,
     semidirect_product,
+    subgroup_generated,
 )
 from commdeg.presets import cyclic, dihedral, elementary, heisenberg_level, quaternion8, symmetric
 from commdeg.specs import build_group, permutation_closure
@@ -32,8 +37,11 @@ from conftest import (
     oracle_centralizer,
     oracle_char_abelian,
     oracle_classes,
+    oracle_is_associative,
     oracle_q8_table,
     oracle_s3_table,
+    oracle_subgroup_closure,
+    swap_intercalate,
 )
 
 
@@ -71,6 +79,44 @@ def test_cayley_rejects_shifted_identity():
 def test_cayley_rejects_nonassociative_loop():
     with pytest.raises(NonAssociative):
         GroupTable(NONASSOCIATIVE_LOOP)
+
+
+def _accepts(table):
+    """GroupTable's verdict; a rejection must name a triple that fails."""
+    try:
+        GroupTable(table)
+    except NonAssociative as exc:
+        x, g, y = map(int, re.search(r"\((\d+), (\d+), (\d+)\)", str(exc)).groups())
+        assert table[table[x][g]][y] != table[x][table[g][y]]
+        return False
+    return True
+
+
+@pytest.mark.parametrize("block", [1, 100, kernels.BLOCK_ENTRIES])
+def test_associativity_check_matches_all_triples_oracle(corpus, monkeypatch, block):
+    monkeypatch.setattr(groups, "BLOCK_ENTRIES", block)
+    tables = [G.mult.tolist() for G in corpus.values() if G.order <= 64]
+    swapped = [t for t in map(swap_intercalate, tables) if t is not None]
+    assert len(swapped) >= 20
+    verdicts = [oracle_is_associative(t) for t in tables + swapped]
+    assert [_accepts(t) for t in tables + swapped] == verdicts
+    assert not all(verdicts[len(tables):])
+
+
+def test_intercalate_swap_at_order_512_names_a_failing_triple():
+    G = dihedral(4)
+    for _ in range(3):
+        G = direct_product(G, cyclic(4))
+    assert not _accepts(swap_intercalate(G.mult.tolist()))
+
+
+def test_generators_are_few_and_generate(corpus):
+    for name, G in corpus.items():
+        assert len(G.generators) <= math.log2(G.order), name
+        assert subgroup_generated(G, G.generators).order == G.order, name
+        for gens in ([G.order - 1], [G.order // 2, G.order // 3]):
+            expected = oracle_subgroup_closure(G.mult.tolist(), gens)
+            assert list(subgroup_generated(G, gens).members) == expected, name
 
 
 def test_permgen_closure_is_deterministic():
@@ -299,6 +345,9 @@ def test_invalid_action_not_automorphism():
     # swapping 1 and 2 in Z/4 is a permutation but not an automorphism
     with pytest.raises(InvalidAction):
         semidirect_product(cyclic(4), cyclic(2), [[0, 1, 2, 3], [0, 2, 1, 3]])
+    # the same swap driven by the second generator of V4, through V4 -> C2
+    with pytest.raises(InvalidAction):
+        semidirect_product(cyclic(4), elementary(2, 2), [[0, 1, 2, 3]] * 2 + [[0, 2, 1, 3]] * 2)
 
 
 def test_invalid_action_not_homomorphism():
@@ -308,6 +357,12 @@ def test_invalid_action_not_homomorphism():
             cyclic(5), cyclic(2),
             [[0, 1, 2, 3, 4], [(2 * x) % 5 for x in range(5)]],
         )
+    # C4 acting on C5 by multiplication by 2^h, except that element 2, which
+    # is not a generator of C4, acts by the identity automorphism
+    rows = [[(x * 2**h) % 5 for x in range(5)] for h in range(4)]
+    rows[2] = list(range(5))
+    with pytest.raises(InvalidAction):
+        semidirect_product(cyclic(5), cyclic(4), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +408,26 @@ def test_homomorphism_rejects_non_multiplicative_map():
     G = cyclic(4)
     with pytest.raises(ValueError):
         Homomorphism(G, cyclic(2), [0, 1, 1, 0])
+    # respects multiplication by the generator 1 of V4 but not by 2
+    with pytest.raises(ValueError):
+        Homomorphism(elementary(2, 2), G, [0, 0, 1, 1])
+    image = [g % 4 for g in range(8)]
+    assert Homomorphism(cyclic(8), cyclic(4), image).is_surjective()
+    image[5] = 2
+    with pytest.raises(ValueError):
+        Homomorphism(cyclic(8), cyclic(4), image)
+
+
+def test_out_of_range_indices_raise_value_error():
+    G = cyclic(4)
+    for members in ([0, 2, 9], [-1, 0, 2]):
+        with pytest.raises(ValueError, match="out of range"):
+            Subgroup(G, members)
+    for image in ([0, 1, 0, 5], [0, 1, 0, -1]):
+        with pytest.raises(ValueError, match="out of range"):
+            Homomorphism(G, cyclic(2), image)
+    with pytest.raises(ValueError, match="out of range"):
+        subgroup_generated(G, [1, 99])
 
 
 def test_tables_are_frozen(q8):

@@ -194,6 +194,8 @@ def test_fc_class_growth_rejects_non_path():
         fc_class_growth(t, [1, 0])
     with pytest.raises(IncompatiblePath):
         fc_class_growth(t, [0])
+    with pytest.raises(IncompatiblePath):  # out of range, checked before any bond
+        fc_class_growth(cyclic_tower(2, 3), [1, 3, 99])
 
 
 def test_product_partials_five_eighths():
