@@ -10,7 +10,8 @@ class CommdegError(Exception):
 
 
 class NotLatin(CommdegError):
-    """A multiplication table row or column is not a permutation."""
+    """A multiplication table row is not a permutation; a repeated column
+    in a table with Latin rows surfaces as NonAssociative."""
 
 
 class NonAssociative(CommdegError):

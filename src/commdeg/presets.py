@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from commdeg.errors import NotPrime, UnknownPreset
-from commdeg.groups import GroupTable, direct_product, semidirect_product
+from commdeg.groups import GroupTable, direct_product, semidirect_product, trivial_group
 
 
 def is_prime(p: int) -> bool:
@@ -97,12 +97,14 @@ def dihedral(n: int) -> GroupTable:
     c2 = cyclic(2)
     invert = [list(range(n)), [(-i) % n for i in range(n)]]
     G = semidirect_product(cn, c2, invert)
-    return GroupTable(G.mult, name=f"D{n}")
+    G.name = f"D{n}"
+    return G
 
 
 def klein4() -> GroupTable:
     G = elementary(2, 2)
-    return GroupTable(G.mult, labels=G.labels, name="V4")
+    G.name = "V4"
+    return G
 
 
 def _perm_closure_table(degree: int, gens: list[tuple[int, ...]], name: str) -> GroupTable:
@@ -137,7 +139,7 @@ def alternating(n: int) -> GroupTable:
 
 
 _PRESETS = {
-    "trivial": lambda params: GroupTable([[0]], labels=("e",), name="1"),
+    "trivial": lambda params: trivial_group(),
     "cyclic": lambda params: cyclic(int(params["n"])),
     "klein4": lambda params: klein4(),
     "quaternion8": lambda params: quaternion8(),

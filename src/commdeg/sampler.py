@@ -7,6 +7,13 @@ estimate upward. On the continuous presets the probability-zero clauses
 (doubling conditions, parallel axes) compare derived floats for exact
 equality and essentially never fire on sampled data.
 
+Every preset speaks one batch protocol: ``from_words`` decodes RNG words
+into arrays, ``to_params``/``from_params`` convert between those arrays and
+``SampledElement.params`` tuples, and ``power_arrays``/``commute_arrays`` are
+the preset's only power map and commutation predicate. ``commutes()``
+decodes its two elements into length-1 batches and runs the same predicate
+as the estimators.
+
 Trial i draws from RNG substream i (see rng.py), so estimates are
 bit-reproducible for a given (preset, m, n, trials, seed) regardless of
 chunking or evaluation order.
@@ -104,17 +111,14 @@ class TorusPreset:
     def to_params(self, arrays):
         return [tuple(float(a) for a in row) for row in arrays]
 
+    def from_params(self, params_list):
+        return np.array(params_list, dtype=np.float64)
+
     def power_arrays(self, arrays, k):
         return (k * arrays) % 1.0
 
     def commute_arrays(self, xa, ya):
         return np.ones(len(xa), dtype=bool)
-
-    def power_scalar(self, params, k):
-        return tuple((k * a) % 1.0 for a in params)
-
-    def commute_scalar(self, xp, yp):
-        return True
 
     def exact_degree(self, m, n):
         return Fraction(1)
@@ -141,6 +145,11 @@ class DihedralPreset:
         angles, signs = arrays
         return [(float(a), int(s)) for a, s in zip(angles, signs)]
 
+    def from_params(self, params_list):
+        angles = np.array([a for a, _ in params_list], dtype=np.float64)
+        signs = np.array([s for _, s in params_list], dtype=np.int8)
+        return angles, signs
+
     def power_arrays(self, arrays, k):
         angles, signs = arrays
         if k % 2 == 0:
@@ -160,23 +169,6 @@ class DihedralPreset:
         rot_flip = (sx == 1) & (sy == -1) & ((2.0 * ax) % 1.0 == 0.0)
         both_flip = (sx == -1) & (sy == -1) & ((2.0 * (ax - ay)) % 1.0 == 0.0)
         return both_rot | flip_rot | rot_flip | both_flip
-
-    def power_scalar(self, params, k):
-        a, s = params
-        if k % 2 == 0:
-            return ((k * a) % 1.0 if s == 1 else 0.0, 1)
-        return ((k * a) % 1.0 if s == 1 else a, s)
-
-    def commute_scalar(self, xp, yp):
-        ax, sx = xp
-        ay, sy = yp
-        if sx == 1 and sy == 1:
-            return True
-        if sx == -1 and sy == 1:
-            return (2.0 * ay) % 1.0 == 0.0
-        if sx == 1 and sy == -1:
-            return (2.0 * ax) % 1.0 == 0.0
-        return (2.0 * (ax - ay)) % 1.0 == 0.0
 
     def exact_degree(self, m, n):
         # An even power maps every flip to the identity and every rotation
@@ -224,6 +216,9 @@ class QuaternionPreset:
     def to_params(self, arrays):
         return [tuple(float(v) for v in row) for row in arrays]
 
+    def from_params(self, params_list):
+        return np.array(params_list, dtype=np.float64)
+
     def power_arrays(self, arrays, k):
         acc = np.zeros_like(arrays)
         acc[:, 0] = 1.0
@@ -241,29 +236,6 @@ class QuaternionPreset:
         dot = xa[:, 1] * ya[:, 1] + xa[:, 2] * ya[:, 2] + xa[:, 3] * ya[:, 3]
         half_turns = (xa[:, 0] == 0.0) & (ya[:, 0] == 0.0) & (dot == 0.0)
         return parallel | half_turns
-
-    def power_scalar(self, params, k):
-        acc = (1.0, 0.0, 0.0, 0.0)
-        for _ in range(k):
-            w1, x1, y1, z1 = acc
-            w2, x2, y2, z2 = params
-            acc = (
-                w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-                w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-                w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-                w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-            )
-        return acc
-
-    def commute_scalar(self, xp, yp):
-        cx = xp[2] * yp[3] - xp[3] * yp[2]
-        cy = xp[3] * yp[1] - xp[1] * yp[3]
-        cz = xp[1] * yp[2] - xp[2] * yp[1]
-        parallel = cx == 0.0 and cy == 0.0 and cz == 0.0
-        if not self.so3:
-            return parallel
-        dot = xp[1] * yp[1] + xp[2] * yp[2] + xp[3] * yp[3]
-        return parallel or (xp[0] == 0.0 and yp[0] == 0.0 and dot == 0.0)
 
     def exact_degree(self, m, n):
         return Fraction(0)
@@ -296,18 +268,15 @@ class FinitePreset:
     def to_params(self, arrays):
         return [(int(i),) for i in arrays]
 
+    def from_params(self, params_list):
+        return np.array([i for (i,) in params_list], dtype=np.int64)
+
     def power_arrays(self, arrays, k):
         return self._power_table(k)[arrays]
 
     def commute_arrays(self, xa, ya):
         mult = self.group.mult
         return mult[xa, ya] == mult[ya, xa]
-
-    def power_scalar(self, params, k):
-        return (self.group.power(params[0], k),)
-
-    def commute_scalar(self, xp, yp):
-        return self.group.mul(xp[0], yp[0]) == self.group.mul(yp[0], xp[0])
 
     def exact_degree(self, m, n):
         return degree_mn(self.group, m, n).value
@@ -336,6 +305,10 @@ class ProductPreset:
         per = [c.to_params(a) for c, a in zip(self.components, arrays)]
         return [tuple(parts) for parts in zip(*per)]
 
+    def from_params(self, params_list):
+        return [c.from_params([prm[i] for prm in params_list])
+                for i, c in enumerate(self.components)]
+
     def power_arrays(self, arrays, k):
         return [c.power_arrays(a, k) for c, a in zip(self.components, arrays)]
 
@@ -345,15 +318,6 @@ class ProductPreset:
             m = c.commute_arrays(xc, yc)
             mask = m if mask is None else (mask & m)
         return mask
-
-    def power_scalar(self, params, k):
-        return tuple(c.power_scalar(p, k) for c, p in zip(self.components, params))
-
-    def commute_scalar(self, xp, yp):
-        return all(
-            c.commute_scalar(px, py)
-            for c, px, py in zip(self.components, xp, yp)
-        )
 
     def exact_degree(self, m, n):
         acc = Fraction(1)
@@ -408,7 +372,13 @@ def commutes(preset, x: SampledElement, y: SampledElement, m: int, n: int) -> bo
         )
     if m < 1 or n < 1:
         raise ValueError("powers must be >= 1")
-    return bool(p.commute_scalar(p.power_scalar(x.params, m), p.power_scalar(y.params, n)))
+    xa, ya = p.from_params([x.params]), p.from_params([y.params])
+    return bool(_commute_mask(p, xa, ya, m, n)[0])
+
+
+def _commute_mask(p, xa, ya, m, n):
+    """The commutation predicate for x^m and y^n, one entry per batch row."""
+    return p.commute_arrays(p.power_arrays(xa, m), p.power_arrays(ya, n))
 
 
 def _success_count(p, m, n, trials, seed) -> int:
@@ -417,8 +387,7 @@ def _success_count(p, m, n, trials, seed) -> int:
         hi = min(lo + _CHUNK, trials)
         xa = p.from_words(words(seed, lo, hi, p.words_per_element, tag=0))
         ya = p.from_words(words(seed, lo, hi, p.words_per_element, tag=1))
-        mask = p.commute_arrays(p.power_arrays(xa, m), p.power_arrays(ya, n))
-        total += int(mask.sum())
+        total += int(_commute_mask(p, xa, ya, m, n).sum())
     return total
 
 

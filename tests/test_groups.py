@@ -92,6 +92,24 @@ def _accepts(table):
     return True
 
 
+@pytest.mark.parametrize("table", [
+    [[0, 1, 2], [1, 2, 0], [2, 1, 0]],
+    [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 1, 0]],
+])
+def test_latin_rows_with_a_repeated_column_are_nonassociative(table):
+    assert any(len({row[c] for row in table}) < len(table) for c in range(len(table)))
+    assert not _accepts(table)  # NonAssociative, naming a triple that fails
+
+
+@pytest.mark.parametrize("block", [1, kernels.BLOCK_ENTRIES])
+def test_inverse_table_in_row_tiles(corpus, monkeypatch, block):
+    monkeypatch.setattr(groups, "BLOCK_ENTRIES", block)
+    for name, G in corpus.items():
+        inv = GroupTable(G.mult).inv
+        assert (G.mult[np.arange(G.order), inv] == 0).all(), name
+        assert np.array_equal(inv, G.inv), name
+
+
 @pytest.mark.parametrize("block", [1, 100, kernels.BLOCK_ENTRIES])
 def test_associativity_check_matches_all_triples_oracle(corpus, monkeypatch, block):
     monkeypatch.setattr(groups, "BLOCK_ENTRIES", block)
@@ -158,6 +176,9 @@ def test_build_group_determinism_bit_identical(corpus):
     for name, spec in list(__import__("conftest").corpus_specs().items())[:8]:
         again = build_group(spec)
         assert np.array_equal(again.mult, corpus[name].mult), name
+    assert (corpus["D5"].name, corpus["V4"].name) == ("D5", "V4")
+    assert corpus["V4"].labels == elementary(2, 2).labels
+    assert build_group({"kind": "preset", "name": "trivial", "params": {}}).name == "1"
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,54 @@ def test_su2_samples_unit_norm():
 
 
 # ---------------------------------------------------------------------------
+# the preset protocol
+
+_PROTOCOL_METHODS = {
+    "from_words", "to_params", "from_params", "power_arrays", "commute_arrays",
+    "exact_degree",
+}
+
+
+def _every_preset():
+    names = ("dihedral", "so3", "su2", "torus", "torus-x-quaternion8")
+    return [get_sampler_preset(name) for name in names] + [
+        sampler_mod.TorusPreset(3),
+        sampler_mod.FinitePreset(symmetric(4)),
+    ]
+
+
+def _leaves(arrays):
+    if isinstance(arrays, (list, tuple)):
+        return [leaf for part in arrays for leaf in _leaves(part)]
+    return [arrays]
+
+
+@pytest.mark.parametrize("p", _every_preset(), ids=lambda p: p.name)
+def test_params_codec_round_trips_bit_exactly(p):
+    arrays = p.from_words(words(4, 0, 300, p.words_per_element, tag=0))
+    again = p.from_params(p.to_params(arrays))
+    want, got = _leaves(arrays), _leaves(again)
+    assert len(got) == len(want)
+    for a, b in zip(want, got):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_presets_expose_exactly_the_batch_protocol():
+    presets = _every_preset()
+    classes = {c for c in vars(sampler_mod).values()
+               if isinstance(c, type) and c.__module__ == sampler_mod.__name__
+               and c.__name__.endswith("Preset")}
+    assert {type(p) for p in presets} == classes
+    for p in presets:
+        methods = {k for k, v in vars(type(p)).items()
+                   if callable(v) and not k.startswith("_")}
+        assert methods == _PROTOCOL_METHODS, p.name
+        assert isinstance(p.name, str) and p.words_per_element >= 1
+        assert not [k for k in dir(p) if k.endswith("_scalar")], p.name
+
+
+# ---------------------------------------------------------------------------
 # exact commutation predicates
 
 
@@ -113,7 +161,8 @@ def test_dihedral_squares_always_commute():
     p = get_sampler_preset("dihedral")
     for x, y in zip(sample(p, 200, 5), sample(p, 200, 6)):
         assert commutes(p, x, y, 2, 2)
-        assert p.power_scalar(x.params, 2)[1] == 1  # squares land in the rotations
+        # squares land in the rotations
+        assert p.power_arrays(p.from_params([x.params]), 2)[1][0] == 1
 
 
 def test_torus_everything_commutes():
@@ -225,7 +274,7 @@ def test_estimate_reproducible_and_chunk_independent(monkeypatch):
     assert chunked.successes == baseline.successes
 
 
-def test_estimate_matches_scalar_commutes_path():
+def test_sampled_pairs_through_commutes_reproduce_successes():
     for name, m, n in (("dihedral", 1, 1), ("su2", 3, 2), ("torus-x-quaternion8", 2, 1)):
         p = get_sampler_preset(name)
         trials = 400
