@@ -46,6 +46,19 @@ def _check_light(mult, g):
             raise NonAssociative(f"associativity fails at triple ({s + x}, {g}, {y})")
 
 
+def _rows_are_permutations(table) -> bool:
+    """Every row of ``table`` is a permutation of its column indices; rows
+    are sorted one tile of at most BLOCK_ENTRIES entries at a time."""
+    rows, width = table.shape
+    idx = np.arange(width, dtype=table.dtype)
+    height = max(1, BLOCK_ENTRIES // max(1, width))
+    for s in range(0, rows, height):
+        tile = table[s:s + height]
+        if not np.array_equal(np.sort(tile, axis=1), np.broadcast_to(idx, tile.shape)):
+            return False
+    return True
+
+
 def _check_range(indices, order, what):
     arr = np.asarray(indices)
     if arr.size and (arr.min() < 0 or arr.max() >= order):
@@ -96,7 +109,7 @@ class GroupTable:
         idx = np.arange(n, dtype=np.int32)
         if mult.min() < 0 or mult.max() >= n:
             raise NotLatin("table entries out of range")
-        if not np.array_equal(np.sort(mult, axis=1), np.broadcast_to(idx, (n, n))):
+        if not _rows_are_permutations(mult):
             raise NotLatin("some row is not a permutation")
         if not (np.array_equal(mult[0], idx) and np.array_equal(mult[:, 0], idx)):
             raise NotLatin("element 0 is not a two-sided identity")
@@ -352,10 +365,9 @@ def check_action(G: GroupTable, act) -> np.ndarray:
     act = np.ascontiguousarray(act, dtype=np.int32)
     if act.ndim != 2 or act.shape[0] != G.order:
         raise InvalidAction("action table must have one row per group element")
-    idx = np.arange(act.shape[1], dtype=np.int32)
-    if not np.array_equal(np.sort(act, axis=1), np.broadcast_to(idx, act.shape)):
+    if not _rows_are_permutations(act):
         raise InvalidAction("some action row is not a permutation of the points")
-    if not np.array_equal(act[0], idx):
+    if not np.array_equal(act[0], np.arange(act.shape[1])):
         raise InvalidAction("the identity must act trivially")
     for h in G.generators:
         if not np.array_equal(act[G.mult[:, h]], act[:, act[h]]):

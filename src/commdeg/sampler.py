@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import sqrt
 
 import numpy as np
@@ -346,8 +347,14 @@ def get_sampler_preset(name: str, dim: int = 1):
     )
 
 
+@cache
+def _named_preset(name: str):
+    """The default-dimension preset for ``name``, built and validated once."""
+    return get_sampler_preset(name)
+
+
 def _resolve(preset):
-    return get_sampler_preset(preset) if isinstance(preset, str) else preset
+    return _named_preset(preset) if isinstance(preset, str) else preset
 
 
 def sample(preset, count: int, seed: int):

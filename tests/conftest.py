@@ -208,6 +208,25 @@ def oracle_normal_subgroups(G: GroupTable, max_classes=12):
     return out
 
 
+def oracle_philox4x32(counter, key):
+    """Philox4x32-10 on one counter (four ints) under one key (two ints).
+
+    Plain Python ints throughout: each round's 32x32 -> 64-bit product is
+    split into its high and low words by shift and mask (Salmon et al.,
+    SC'11, the Random123 reference round).
+    """
+    mask = 0xFFFFFFFF
+    x0, x1, x2, x3 = counter
+    k0, k1 = key
+    for _ in range(10):
+        p0 = 0xD2511F53 * x0
+        p1 = 0xCD9E8D57 * x2
+        x0, x1, x2, x3 = (p1 >> 32) ^ x1 ^ k0, p1 & mask, (p0 >> 32) ^ x3 ^ k1, p0 & mask
+        k0 = (k0 + 0x9E3779B9) & mask
+        k1 = (k1 + 0xBB67AE85) & mask
+    return x0, x1, x2, x3
+
+
 # a 5x5 Latin square with two-sided identity that is not associative
 NONASSOCIATIVE_LOOP = [
     [0, 1, 2, 3, 4],

@@ -1,6 +1,7 @@
 """Group construction and subgroup machinery."""
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from commdeg.groups import (
     center,
     centralizer,
     characteristic_abelian_subgroup,
+    check_action,
     commutator_subgroup,
     conjugacy_classes,
     direct_product,
@@ -99,6 +101,43 @@ def _accepts(table):
 def test_latin_rows_with_a_repeated_column_are_nonassociative(table):
     assert any(len({row[c] for row in table}) < len(table) for c in range(len(table)))
     assert not _accepts(table)  # NonAssociative, naming a triple that fails
+
+
+def _with_repeat_in_row(mult, row):
+    bad = np.array(mult)
+    bad[row, 5] = bad[row, 6]
+    return bad
+
+
+@pytest.mark.parametrize("block", [1, 100, kernels.BLOCK_ENTRIES])
+def test_latin_rows_checked_in_row_tiles(monkeypatch, block):
+    monkeypatch.setattr(groups, "BLOCK_ENTRIES", block)
+    C64 = cyclic(64)
+    bad_tables = [[[0, 1], [1, 1]]] + [_with_repeat_in_row(C64.mult, r) for r in (1, 40, 63)]
+    for bad in bad_tables:
+        with pytest.raises(NotLatin):
+            GroupTable(bad)
+    with pytest.raises(InvalidAction):
+        semidirect_product(cyclic(3), cyclic(2), [[0, 1, 2], [0, 0, 1]])
+    act = np.tile(np.arange(40), (8, 1))
+    act[7, [3, 4]] = 9
+    with pytest.raises(InvalidAction, match="not a permutation"):
+        check_action(cyclic(8), act)
+    assert np.array_equal(GroupTable(C64.mult).mult, C64.mult)
+
+
+def test_validation_peak_stays_below_one_byte_per_entry(monkeypatch):
+    monkeypatch.setattr(groups, "BLOCK_ENTRIES", 1024)
+    mult = np.array(dihedral(256).mult)
+    n = len(mult)
+    assert n == 512
+    tracemalloc.start()
+    try:
+        GroupTable(mult)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n
 
 
 @pytest.mark.parametrize("block", [1, kernels.BLOCK_ENTRIES])

@@ -1,10 +1,12 @@
 """Counter-based RNG and Monte Carlo estimator contracts."""
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import commdeg.sampler as sampler_mod
+from commdeg import rng
 from commdeg.errors import PresetMismatch, UnknownPreset
 from commdeg.presets import cyclic, quaternion8, symmetric
 from commdeg.rng import gaussians_from_uniforms, philox4x32, to_uniform, words
@@ -16,6 +18,7 @@ from commdeg.sampler import (
     get_sampler_preset,
     sample,
 )
+from conftest import oracle_philox4x32
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +63,82 @@ def test_gaussians_shape_and_moments():
     g = gaussians_from_uniforms(to_uniform(words(1, 0, 20000, 4, tag=0)))
     assert abs(g.mean()) < 0.02
     assert abs(g.std() - 1.0) < 0.02
+
+
+_KEY_WORDS = (0, 1, 0xFFFFFFFF)
+
+
+def _random_counters(rows, seed):
+    return np.random.default_rng(seed).integers(0, 1 << 32, size=(rows, 4), dtype=np.uint32)
+
+
+def _oracle_blocks(counter, key0, key1):
+    return [oracle_philox4x32([int(v) for v in row], (key0, key1)) for row in counter]
+
+
+@pytest.mark.parametrize("key0, key1", itertools.product(_KEY_WORDS, repeat=2))
+def test_philox_matches_scalar_reference(key0, key1):
+    for rows in (0, 1, 7, 4096):
+        ctr = _random_counters(rows, rows + 10 * key0 + key1)
+        out = philox4x32(ctr, key0, key1)
+        assert out.dtype == np.uint32 and out.shape == (rows, 4)
+        assert [tuple(map(int, row)) for row in out] == _oracle_blocks(ctr, key0, key1)
+
+
+def test_philox_reads_a_non_contiguous_counter_and_leaves_it_unchanged():
+    wide = np.random.default_rng(3).integers(0, 1 << 32, size=(500, 8), dtype=np.uint32)
+    before = wide.copy()
+    for ctr in (wide[:, 2:6], wide[:, ::2], wide[::3, 1::2]):
+        assert not ctr.flags.c_contiguous
+        out = philox4x32(ctr, 123, 456)
+        assert np.array_equal(out, philox4x32(np.ascontiguousarray(ctr), 123, 456))
+        assert [tuple(map(int, row)) for row in out] == _oracle_blocks(ctr, 123, 456)
+    assert np.array_equal(wide, before)
+    ctr = _random_counters(64, 4)
+    kept = ctr.copy()
+    philox4x32(ctr, 0xFFFFFFFF, 0)
+    assert np.array_equal(ctr, kept)
+
+
+def test_product_halves_follow_the_byte_order():
+    # a swapped pair of views would read 1 as the low word and 2 as the high
+    halves = np.array([(1 << 32) | 2], dtype=np.uint64).view(np.uint32)
+    assert (int(halves[rng._LO]), int(halves[rng._HI])) == (2, 1)
+
+
+def test_words_follow_the_counter_layout():
+    seed = (0x01234567 << 32) | 0x89ABCDEF
+    lo = (5 << 32) - 3  # trial indices cross into the counter's high word
+    out = words(seed, lo, lo + 6, 9, tag=7)
+    for i, row in enumerate(out):
+        trial = lo + i
+        for j, word in enumerate(row):
+            block = oracle_philox4x32(
+                (trial & 0xFFFFFFFF, trial >> 32, j // 4, 7), (0x89ABCDEF, 0x01234567)
+            )
+            assert int(word) == block[j % 4]
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_words_split_calls_match_one_call(k):
+    chunk = 1 << 16
+    full = words(99, 0, chunk + 300, k, tag=1)
+    assert full.shape == (chunk + 300, k)
+    splits = [(0, 1), (0, chunk), (chunk - 1, chunk + 1), (chunk - 200, chunk + 300),
+              (17, chunk + 5), (chunk, chunk + 300)]
+    for lo, hi in splits:
+        assert np.array_equal(words(99, lo, hi, k, tag=1), full[lo:hi]), (lo, hi)
+
+
+def test_decode_matches_the_textbook_formulas_bit_exactly():
+    w = words(8, 0, 5000, 4, tag=0)
+    u = to_uniform(w)
+    assert np.array_equal(u, (w.astype(np.float64) + 0.5) * 2.0**-32)
+    g = gaussians_from_uniforms(u)
+    r = np.sqrt(-2.0 * np.log(u[:, 0::2]))
+    theta = 2.0 * np.pi * u[:, 1::2]
+    assert np.array_equal(g[:, 0::2], r * np.cos(theta))
+    assert np.array_equal(g[:, 1::2], r * np.sin(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +363,23 @@ def test_sampled_pairs_through_commutes_reproduce_successes():
         manual = sum(commutes(p, x, y, m, n) for x, y in zip(xs, ys))
         est = estimate_degree_mn(p, m, n, trials, 21)
         assert est.successes == manual, name
+
+
+def test_named_presets_are_built_once():
+    for name in ("dihedral", "so3", "su2", "torus", "torus-x-quaternion8"):
+        assert sampler_mod._resolve(name) is sampler_mod._resolve(name)
+        assert sampler_mod._resolve(name).name == name
+
+
+def test_commutes_by_name_matches_a_fresh_preset():
+    for name, m, n in (("dihedral", 2, 1), ("so3", 1, 1), ("torus", 3, 2),
+                       ("torus-x-quaternion8", 1, 2), ("torus-x-quaternion8", 2, 2)):
+        xs = sample(name, 300, 5)
+        ys = sample(name, 300, 6)
+        by_name = [commutes(name, x, y, m, n) for x, y in zip(xs, ys)]
+        fresh = [commutes(get_sampler_preset(name), x, y, m, n) for x, y in zip(xs, ys)]
+        assert by_name == fresh, name
+        assert by_name == [commutes(name, x, y, m, n) for x, y in zip(xs, ys)], name
 
 
 def test_estimate_requires_hundred_trials():
