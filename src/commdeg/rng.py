@@ -7,7 +7,9 @@ words depend only on (seed, trial, block, tag).
 
 The generator keeps its four state words as uint32 arrays and updates them
 in place. Each round writes the two 32x32 -> 64-bit products into two
-uint64 buffers that are allocated once and reused by every round; the high
+uint64 buffers that are allocated once and reused by every round (the
+multiply names its uint64 loop, so the product never wraps at 32 bits
+whatever the scalar-promotion rules of the NumPy version); the high
 and low 32-bit halves of a product are read as strided uint32 views of its
 buffer, so no shift or mask is needed. The round keys are Python ints.
 """
@@ -41,8 +43,11 @@ def philox4x32(counter: np.ndarray, key0: int, key1: int) -> np.ndarray:
     hi1, lo1 = p1.view(np.uint32)[_HI::2], p1.view(np.uint32)[_LO::2]
     k0, k1 = key0 & _MASK32, key1 & _MASK32
     for _ in range(_ROUNDS):
-        np.multiply(x0, _M0, out=p0)
-        np.multiply(x2, _M1, out=p1)
+        # dtype forces the 64-bit loop: NumPy 1.x value-based casting would
+        # otherwise pick the uint32 loop (the multipliers fit in 32 bits)
+        # and wrap each product before it reaches the buffer
+        np.multiply(x0, _M0, out=p0, dtype=np.uint64)
+        np.multiply(x2, _M1, out=p1, dtype=np.uint64)
         np.bitwise_xor(hi1, x1, out=x0)
         x0 ^= np.uint32(k0)
         np.bitwise_xor(hi0, x3, out=x2)

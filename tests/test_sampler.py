@@ -100,6 +100,17 @@ def test_philox_reads_a_non_contiguous_counter_and_leaves_it_unchanged():
     assert np.array_equal(ctr, kept)
 
 
+@pytest.mark.parametrize("scalar", [np.uint32, int])
+def test_philox_products_never_wrap_at_32_bits(monkeypatch, scalar):
+    # NumPy 1.x value-based casting treats a uint64 multiplier that fits in
+    # 32 bits like these scalars; the 64-bit product must survive either way
+    monkeypatch.setattr(rng, "_M0", scalar(0xD2511F53))
+    monkeypatch.setattr(rng, "_M1", scalar(0xCD9E8D57))
+    ctr = _random_counters(256, 9)
+    out = philox4x32(ctr, 123, 456)
+    assert [tuple(map(int, row)) for row in out] == _oracle_blocks(ctr, 123, 456)
+
+
 def test_product_halves_follow_the_byte_order():
     # a swapped pair of views would read 1 as the low word and 2 as the high
     halves = np.array([(1 << 32) | 2], dtype=np.uint64).view(np.uint32)
