@@ -146,9 +146,14 @@ def degree_structural(G: GroupTable) -> DegreeReport:
     )
 
 
+def power_counts(G: GroupTable, n: int) -> np.ndarray:
+    """How many x in G have x^n == g, for every g (int64, sums to |G|)."""
+    return np.bincount(power_map(G, n), minlength=G.order)
+
+
 def pushforward_power(G: GroupTable, n: int) -> Distribution:
     """Distribution of x^n when x is Haar-distributed."""
-    counts = np.bincount(power_map(G, n), minlength=G.order)
+    counts = power_counts(G, n)
     return Distribution(G, tuple(Fraction(int(c), G.order) for c in counts))
 
 
@@ -175,22 +180,30 @@ def degree_mn(
 def degree_mn_pushforward(G: GroupTable, m: int, n: int) -> DegreeReport:
     """Same probability evaluated on the pushforward measures.
 
-    Computes sum over commuting (u, v) of mu1(u) * mu2(v) where mu1 and
-    mu2 are the m-th and n-th power pushforwards of Haar measure.
+    Sums c_m(u) * c_n(v) over the commuting pairs (u, v), where c_m and c_n
+    count the preimages of the m-th and n-th power maps (|G| times their
+    pushforwards of Haar measure). Only u in the image of x -> x^m and v in
+    the image of y -> y^n carry weight, so the table is read on those two
+    supports alone: bands of whole rows and columns of the smaller support,
+    at most ``kernels.BLOCK_ENTRIES`` entries each (or one row, where a row
+    is longer), restricted to the other support. Weighting powers instead
+    of visiting the n^2 pairs keeps this route independent of the pair
+    count in ``degree_mn``.
     """
     if m < 1 or n < 1:
         raise ValueError("powers must be >= 1")
     n_ord = G.order
-    mu1 = pushforward_power(G, m)
-    mu2 = pushforward_power(G, n)
-    cm = np.array([int(w * n_ord) for w in mu1.weights], dtype=np.int64)
-    cn = np.array([int(w * n_ord) for w in mu2.weights], dtype=np.int64)
+    cm, cn = power_counts(G, m), power_counts(G, n)
+    us, vs = np.flatnonzero(cm), np.flatnonzero(cn)
+    wu, wv = cm[us], cn[vs]
+    if len(us) > len(vs):  # commuting is symmetric: band over the smaller support
+        us, vs, wu, wv = vs, us, wv, wu
+    height = max(1, kernels.BLOCK_ENTRIES // n_ord)
     total = 0
-    block = max(1, (1 << 24) // n_ord)
-    for start in range(0, n_ord, block):
-        stop = min(start + block, n_ord)
-        commute = G.mult[start:stop, :] == G.mult[:, start:stop].T
-        total += int(cm[start:stop] @ commute @ cn)
+    for s in range(0, len(us), height):
+        u = us[s:s + height]
+        same = G.mult[u].take(vs, axis=1) == G.mult.take(u, axis=1)[vs].T
+        total += int(wu[s:s + height] @ (same @ wv))
     return DegreeReport(
         value=Fraction(total, n_ord**2),
         method="pushforward",

@@ -18,10 +18,30 @@ from commdeg.kernels import BLOCK_ENTRIES
 DEFAULT_ORDER_CAP = 20000
 
 
-def _frozen(arr, dtype=np.int32):
+def _private(arr, dtype=np.int32):
+    """``arr`` as a C-contiguous array of ``dtype`` that no caller can write
+    to. A conversion is a new array already, and a read-only array that
+    owns its memory (such as another table's ``mult``) is shared; only a
+    writable array or a view of someone else's memory is copied."""
     out = np.ascontiguousarray(arr, dtype=dtype)
-    out.flags.writeable = False
+    if out.base is not None or (out is arr and out.flags.writeable):
+        out = out.copy()
     return out
+
+
+def _frozen(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+def _row_height(n):
+    """Rows per tile of at most BLOCK_ENTRIES entries, and at least one."""
+    return max(1, BLOCK_ENTRIES // max(1, n))
+
+
+def _commutes_with_all(mult, s, e):
+    """Row tile [s, e) of the mask "x commutes with every element"."""
+    return (mult[s:e] == mult[:, s:e].T).all(axis=1)
 
 
 def _right_closure(mult, gens, reached):
@@ -37,7 +57,7 @@ def _check_light(mult, g):
     """Light's test: (x g) y == x (g y) for every x and y, row tile by row tile."""
     n = len(mult)
     xg, gy = mult[:, g], mult[g]
-    height = max(1, BLOCK_ENTRIES // n)
+    height = _row_height(n)
     for s in range(0, n, height):
         left = mult[xg[s:s + height]]
         right = mult[s:s + height, gy]
@@ -51,7 +71,7 @@ def _rows_are_permutations(table) -> bool:
     are sorted one tile of at most BLOCK_ENTRIES entries at a time."""
     rows, width = table.shape
     idx = np.arange(width, dtype=table.dtype)
-    height = max(1, BLOCK_ENTRIES // max(1, width))
+    height = _row_height(width)
     for s in range(0, rows, height):
         tile = table[s:s + height]
         if not np.array_equal(np.sort(tile, axis=1), np.broadcast_to(idx, tile.shape)):
@@ -95,12 +115,14 @@ class GroupTable:
     ``mult[g, h]`` is the index of g*h; ``inv[g]`` the index of the inverse.
     Construction checks every group axiom exhaustively, associativity by
     Light's test on ``generators``, a generating set of at most log2(order).
+    A writable int32 table is copied first, so the caller's array is never
+    frozen; a read-only one is shared.
     """
 
     __slots__ = ("order", "mult", "inv", "labels", "name", "generators")
 
     def __init__(self, mult, labels=None, name="G"):
-        mult = np.ascontiguousarray(mult, dtype=np.int32)
+        mult = _private(mult)
         if mult.ndim != 2 or mult.shape[0] != mult.shape[1]:
             raise NotLatin("multiplication table must be square")
         n = mult.shape[0]
@@ -117,7 +139,7 @@ class GroupTable:
         # inverse, so the table is a group and its columns are permutations.
         self.generators = _associative_generators(mult)
         inv = np.empty(n, dtype=np.int32)
-        height = max(1, BLOCK_ENTRIES // n)
+        height = _row_height(n)
         for s in range(0, n, height):
             inv[s:s + height] = np.argmax(mult[s:s + height] == 0, axis=1)
         self.order = n
@@ -160,7 +182,11 @@ class GroupTable:
         return k
 
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mult, self.mult.T))
+        """mult == mult.T, compared one row tile at a time; stops at the
+        first tile with a non-central element."""
+        height = _row_height(self.order)
+        return all(_commutes_with_all(self.mult, s, s + height).all()
+                   for s in range(0, self.order, height))
 
     def label(self, g: int) -> str:
         return self.labels[g] if self.labels is not None else str(g)
@@ -183,8 +209,10 @@ class Subgroup:
         memb[list(members)] = True
         arr = np.array(members, dtype=np.int32)
         # closed under products is closed under inverses in a finite group
-        if not memb[parent.mult[np.ix_(arr, arr)]].all():
-            raise ValueError("member set is not closed under multiplication")
+        height = _row_height(len(arr))
+        for s in range(0, len(arr), height):
+            if not memb[parent.mult[np.ix_(arr[s:s + height], arr)]].all():
+                raise ValueError("member set is not closed under multiplication")
         assert parent.order % len(members) == 0, "Lagrange violation"
         self.parent = parent
         self.members = members
@@ -214,7 +242,7 @@ class Homomorphism:
     __slots__ = ("source", "target", "image")
 
     def __init__(self, source: GroupTable, target: GroupTable, image):
-        image = np.ascontiguousarray(image, dtype=np.int32)
+        image = _private(image)
         if image.shape != (source.order,):
             raise ValueError("image length does not match source order")
         _check_range(image, target.order, "image index")
@@ -265,7 +293,12 @@ def conjugacy_classes(G: GroupTable) -> list[tuple[int, ...]]:
 
 
 def center(G: GroupTable) -> Subgroup:
-    mask = (G.mult == G.mult.T).all(axis=1)
+    """Z(G): the rows of the table that equal their columns, one row tile at
+    a time (independent of the centralizer sizes in ``kernels``)."""
+    mask = np.empty(G.order, dtype=bool)
+    height = _row_height(G.order)
+    for s in range(0, G.order, height):
+        mask[s:s + height] = _commutes_with_all(G.mult, s, s + height)
     return Subgroup(G, np.flatnonzero(mask))
 
 

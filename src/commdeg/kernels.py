@@ -1,9 +1,10 @@
 """Counting kernels over Cayley tables.
 
 Each kernel compares the table against its transpose one tile at a time.
-A tile holds at most ``BLOCK_ENTRIES`` entries, so no temporary grows with
-n^2. The three counts stay separate computations because the exact routes
-in ``degrees`` check each other through them.
+A tile holds at most ``BLOCK_ENTRIES`` entries (the power-pair count takes
+at least one whole row), so no temporary grows with n^2. The three counts
+stay separate computations because the exact routes in ``degrees`` check
+each other through them.
 """
 from math import isqrt
 
@@ -45,18 +46,24 @@ def count_commuting_pairs(mult):
 
 
 def count_commuting_pairs_mn(mult, pm, pn):
-    """Number of ordered pairs (x, y) with pm[x] and pn[y] commuting."""
+    """Number of ordered pairs (x, y) with pm[x] and pn[y] commuting.
+
+    The count is unweighted: it visits every one of the n^2 pairs, so it
+    checks the pushforward route in ``degrees``, which weights each pair of
+    powers by how often it occurs. A band of rows x gathers the whole rows
+    pm[x] and the whole columns pm[x], then permutes them by pn; the band is
+    at most BLOCK_ENTRIES entries, or one row where a row is longer.
+    """
     mult = np.asarray(mult)
     pm = np.asarray(pm)
     pn = np.asarray(pn)
     n = len(mult)
-    height, width = _tile_shape(n)
+    height = max(1, BLOCK_ENTRIES // n)
     total = 0
     for s in range(0, n, height):
-        xs = pm[s:s + height, None]
-        for t in range(0, n, width):
-            ys = pn[None, t:t + width]
-            total += int(np.count_nonzero(mult[xs, ys] == mult[ys, xs]))
+        xs = pm[s:s + height]
+        same = mult[xs].take(pn, axis=1) == mult.take(xs, axis=1)[pn].T
+        total += int(np.count_nonzero(same))
     return total
 
 

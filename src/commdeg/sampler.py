@@ -137,8 +137,7 @@ class DihedralPreset:
     words_per_element = 2
 
     def from_words(self, w):
-        u = to_uniform(w)
-        angles = u[:, 0]
+        angles = to_uniform(w[:, 0])
         signs = np.where(w[:, 1] < np.uint32(1 << 31), 1, -1).astype(np.int8)
         return angles, signs
 

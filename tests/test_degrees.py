@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from commdeg import kernels
 from commdeg.degrees import (
     DegreeReport,
     Distribution,
@@ -14,6 +15,7 @@ from commdeg.degrees import (
     degree_of_product,
     degree_structural,
     haar,
+    power_counts,
     pushforward_power,
     sign_flip_audit,
 )
@@ -128,6 +130,15 @@ def test_pushforward_exponent_two_point_mass():
     assert d.weights[0] == 1 and sum(d.weights) == 1
 
 
+def test_pushforward_weights_are_the_power_counts(corpus):
+    for name, G in corpus.items():
+        for n in (1, 2, 3, 4):
+            counts = power_counts(G, n)
+            assert counts.sum() == G.order, (name, n)
+            want = tuple(Fraction(int(c), G.order) for c in counts)
+            assert pushforward_power(G, n).weights == want, (name, n)
+
+
 def test_degree_mn_s3_squares():
     G = symmetric(3)
     assert degree_mn(G, 2, 1).value == Fraction(5, 6)
@@ -158,6 +169,21 @@ def test_degree_mn_equals_pushforward_small_grid(corpus):
         for m in (1, 2, 3):
             for n in (1, 2, 3):
                 assert degree_mn(G, m, n).value == degree_mn_pushforward(G, m, n).value
+
+
+def test_pushforward_never_calls_the_power_pair_count(corpus, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the pushforward route used the pair count")
+
+    monkeypatch.setattr(kernels, "count_commuting_pairs_mn", refuse)
+    for name in ("Q8", "S4", "D8", "H3", "C9:C3"):
+        G = corpus[name]
+        table = G.mult.tolist()
+        for m, n in ((1, 1), (2, 3), (3, 2), (4, 4)):
+            want = Fraction(oracle_commuting_count_mn(table, m, n), G.order**2)
+            assert degree_mn_pushforward(G, m, n).value == want, (name, m, n)
+    with pytest.raises(AssertionError, match="pair count"):
+        degree_mn(corpus["Q8"], 2, 1)
 
 
 def test_degree_of_product_examples(q8):

@@ -126,9 +126,19 @@ def test_latin_rows_checked_in_row_tiles(monkeypatch, block):
     assert np.array_equal(GroupTable(C64.mult).mult, C64.mult)
 
 
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_validation_peak_stays_below_one_byte_per_entry(monkeypatch):
     monkeypatch.setattr(groups, "BLOCK_ENTRIES", 1024)
     mult = np.array(dihedral(256).mult)
+    mult.flags.writeable = False  # shared, not copied: the peak is validation's
     n = len(mult)
     assert n == 512
     tracemalloc.start()
@@ -138,6 +148,68 @@ def test_validation_peak_stays_below_one_byte_per_entry(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < n * n
+
+
+def test_constructors_leave_the_callers_arrays_writable():
+    m = np.array(cyclic(4).mult)
+    G = GroupTable(m)
+    image = np.arange(8, dtype=np.int32) % 4
+    f = Homomorphism(cyclic(8), G, image)
+    assert m.flags.writeable and image.flags.writeable
+    assert not G.mult.flags.writeable and not f.image.flags.writeable
+    m[:] = 0
+    image[:] = 0
+    assert np.array_equal(G.mult, cyclic(4).mult)
+    assert f(5) == 1
+    view = np.array(cyclic(4).mult)[:, :]
+    view.flags.writeable = False  # read-only, but the base is still writable
+    assert not np.shares_memory(GroupTable(view).mult, view)
+
+
+def test_tables_are_copied_at_most_once(monkeypatch):
+    """A writable int32 table is copied once, a table of another dtype is
+    converted once, and a frozen table is shared."""
+    monkeypatch.setattr(groups, "BLOCK_ENTRIES", 1024)
+    G = dihedral(256)
+    n = G.order
+    for given in (np.array(G.mult), G.mult.astype(np.int64)):
+        peak = _traced_peak(lambda: GroupTable(given))
+        assert 4 * n * n <= peak < 5 * n * n, given.dtype
+    assert GroupTable(G.mult).mult is G.mult
+    assert _traced_peak(lambda: GroupTable(G.mult)) < n * n
+
+
+@pytest.mark.parametrize("block", [1, 100, kernels.BLOCK_ENTRIES])
+def test_center_and_is_abelian_in_row_tiles(corpus, monkeypatch, block):
+    monkeypatch.setattr(groups, "BLOCK_ENTRIES", block)
+    for name, G in corpus.items():
+        table = G.mult.tolist()
+        n = G.order
+        want = [x for x in range(n) if all(table[x][y] == table[y][x] for y in range(n))]
+        assert list(center(G).members) == want, name
+        assert G.is_abelian() == (len(want) == n), name
+    with pytest.raises(ValueError, match="not closed"):
+        Subgroup(cyclic(8), [0, 1, 2, 3, 4, 5, 6])
+
+
+def test_is_abelian_stops_at_the_first_failing_tile(monkeypatch):
+    monkeypatch.setattr(groups, "BLOCK_ENTRIES", 1024)
+    tiles = []
+    compare = groups._commutes_with_all
+    monkeypatch.setattr(groups, "_commutes_with_all",
+                        lambda mult, s, e: tiles.append(s) or compare(mult, s, e))
+    assert not dihedral(256).is_abelian()  # element 1 is a reflection
+    assert tiles == [0]
+    assert cyclic(512).is_abelian()
+    assert len(tiles) == 1 + 256
+
+
+def test_center_and_is_abelian_peaks_stay_below_one_byte_per_entry(monkeypatch):
+    monkeypatch.setattr(groups, "BLOCK_ENTRIES", 1024)
+    G = cyclic(512)
+    n = G.order
+    for call in (lambda: center(G), G.is_abelian):
+        assert _traced_peak(call) < n * n
 
 
 @pytest.mark.parametrize("block", [1, kernels.BLOCK_ENTRIES])

@@ -2,10 +2,12 @@
 default tile size and with tiles of a few entries.
 """
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 import commdeg.kernels as kernels
+from commdeg.degrees import degree_mn_pushforward
 from commdeg.groups import power_map
 from commdeg.presets import cyclic
 from conftest import (
@@ -53,6 +55,14 @@ def test_power_pair_count_matches_oracle(tables, tiles):
 
 
 @BLOCKS
+def test_power_pushforward_matches_oracle(tables, tiles):
+    for name, (G, table) in tables.items():
+        for m, n in POWERS:
+            want = Fraction(oracle_commuting_count_mn(table, m, n), G.order**2)
+            assert degree_mn_pushforward(G, m, n).value == want, (name, m, n)
+
+
+@BLOCKS
 def test_centralizer_sizes_match_oracle(tables, tiles):
     for name, (G, table) in tables.items():
         want = [len(oracle_centralizer(table, g)) for g in range(G.order)]
@@ -71,6 +81,7 @@ def test_temporaries_stay_within_block(monkeypatch):
     calls = {
         "pairs": lambda: kernels.count_commuting_pairs(G.mult),
         "power pairs": lambda: kernels.count_commuting_pairs_mn(G.mult, pm, pm),
+        "power pushforward": lambda: degree_mn_pushforward(G, 1, 1).value,
         "centralizer sizes": lambda: kernels.centralizer_sizes(G.mult),
     }
     for name, call in calls.items():
