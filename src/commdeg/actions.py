@@ -9,22 +9,22 @@ from fractions import Fraction
 import numpy as np
 
 from commdeg.degrees import Distribution
-from commdeg.groups import GroupTable, Subgroup, check_action
+from commdeg.groups import GroupTable, Subgroup, _frozen, _private, check_action
 
 
 class FiniteAction:
     """A finite group acting on a finite set via a |G| x setSize table,
-    validated by ``groups.check_action`` (InvalidAction, a ValueError)."""
+    validated by ``groups.check_action`` (InvalidAction, a ValueError).
+    Like a group table, a writable array is copied and a read-only one is
+    shared."""
 
     __slots__ = ("group", "set_size", "act")
 
     def __init__(self, group: GroupTable, act):
-        act = check_action(group, act)
+        act = check_action(group, _private(act))
         self.group = group
         self.set_size = act.shape[1]
-        act = act.copy()
-        act.flags.writeable = False
-        self.act = act
+        self.act = _frozen(act)
 
     def __repr__(self):
         return f"FiniteAction({self.group.name} on {self.set_size} points)"
@@ -32,8 +32,7 @@ class FiniteAction:
 
 def conjugation_action(G: GroupTable) -> FiniteAction:
     """G acting on itself by g.x = g x g^-1."""
-    act = G.mult[G.mult[:, :], np.broadcast_to(G.inv[:, None], (G.order, G.order))]
-    return FiniteAction(G, act)
+    return FiniteAction(G, _frozen(G.mult[G.mult, G.inv[:, None]]))
 
 
 def translation_action(G: GroupTable) -> FiniteAction:

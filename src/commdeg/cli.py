@@ -48,7 +48,6 @@ from commdeg.groups import (
     conjugacy_classes,
 )
 from commdeg.lie import build_lie_preset, straightness_verdict
-from commdeg.presets import build_preset
 from commdeg.sampler import estimate_degree_mn, estimate_finite, get_sampler_preset
 from commdeg.specs import build_group, load_group_spec
 from commdeg.towers import cyclic_tower, elementary_tower, heisenberg_tower, tower_degrees
@@ -67,7 +66,7 @@ class RunConfig:
     trials: int = 100000
     seed: int = 0
     csv_path: str | None = None
-    order_cap: int | None = None
+    order_cap: int = DEFAULT_ORDER_CAP
     tol: float = 1e-9
 
     def __post_init__(self):
@@ -111,16 +110,17 @@ _ESTIMATE_HEADER = [
 
 
 def _load_group(cfg: RunConfig):
-    cap = cfg.order_cap if cfg.order_cap is not None else DEFAULT_ORDER_CAP
     if cfg.group_file is not None:
-        return build_group(load_group_spec(cfg.group_file), order_cap=cap)
-    return build_preset(cfg.preset, cfg.params)
+        spec = load_group_spec(cfg.group_file)
+    else:
+        spec = {"kind": "preset", "name": cfg.preset, "params": cfg.params}
+    return build_group(spec, cfg.order_cap)
 
 
 def cmd_degree(cfg: RunConfig) -> int:
     G = _load_group(cfg)
     reports = [
-        degree_bruteforce(G, cfg.order_cap),
+        degree_bruteforce(G),
         degree_centralizer_sum(G),
         degree_structural(G),
     ]
@@ -141,7 +141,7 @@ def cmd_degree(cfg: RunConfig) -> int:
 
 def cmd_degree_mn(cfg: RunConfig) -> int:
     G = _load_group(cfg)
-    direct = degree_mn(G, cfg.m, cfg.n, cfg.order_cap)
+    direct = degree_mn(G, cfg.m, cfg.n)
     pushed = degree_mn_pushforward(G, cfg.m, cfg.n)
     if direct.value != pushed.value:
         raise CrossCheckMismatch(
@@ -178,7 +178,7 @@ def cmd_tower(cfg: RunConfig) -> int:
             raise ValueError("tower presets need --p")
         depth = cfg.params.get("depth", 2)
         tower = builder(int(p), int(depth), order_cap=cfg.order_cap)
-    report = tower_degrees(tower, cfg.m, cfg.n, order_cap=cfg.order_cap)
+    report = tower_degrees(tower, cfg.m, cfg.n)
     if cfg.csv_path:
         rows = [
             (f"{tower.name}:L{k + 1}", order, "bruteforce",
@@ -256,7 +256,7 @@ def cmd_info(cfg: RunConfig) -> int:
     z = center(G)
     gp = commutator_subgroup(G)
     ag = characteristic_abelian_subgroup(G)
-    d = degree_bruteforce(G, cfg.order_cap).value
+    d = degree_bruteforce(G).value
     if cfg.csv_path:
         _write_csv(
             cfg.csv_path,
@@ -297,7 +297,8 @@ def _add_common(sub):
     sub.add_argument("--trials", type=int, default=100000)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--csv", metavar="FILE", dest="csv_path")
-    sub.add_argument("--order-cap", type=int, dest="order_cap")
+    sub.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP, dest="order_cap",
+                     help="lower the order cap for the loaded group")
     sub.add_argument("--tol", type=float, default=1e-9)
 
 

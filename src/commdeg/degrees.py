@@ -13,9 +13,8 @@ from fractions import Fraction
 import numpy as np
 
 from commdeg import kernels
-from commdeg.errors import CrossCheckMismatch, OrderCapExceeded
+from commdeg.errors import CrossCheckMismatch
 from commdeg.groups import (
-    DEFAULT_ORDER_CAP,
     GroupTable,
     center,
     centralizer,
@@ -26,14 +25,6 @@ from commdeg.groups import (
 from commdeg.presets import cyclic
 
 Rational = Fraction
-
-
-def _check_cap(G: GroupTable, order_cap) -> None:
-    cap = DEFAULT_ORDER_CAP if order_cap is None else order_cap
-    if G.order > cap:
-        raise OrderCapExceeded(
-            f"group of order {G.order} exceeds the counting cap {cap}"
-        )
 
 
 @dataclass(frozen=True)
@@ -83,9 +74,8 @@ def haar(G: GroupTable) -> Distribution:
     return Distribution(G, (w,) * G.order)
 
 
-def degree_bruteforce(G: GroupTable, order_cap: int | None = None) -> DegreeReport:
+def degree_bruteforce(G: GroupTable) -> DegreeReport:
     """d(G) by exhaustive ordered-pair counting."""
-    _check_cap(G, order_cap)
     count = kernels.count_commuting_pairs(G.mult)
     return DegreeReport(
         value=Fraction(count, G.order**2),
@@ -157,13 +147,10 @@ def pushforward_power(G: GroupTable, n: int) -> Distribution:
     return Distribution(G, tuple(Fraction(int(c), G.order) for c in counts))
 
 
-def degree_mn(
-    G: GroupTable, m: int, n: int, order_cap: int | None = None
-) -> DegreeReport:
+def degree_mn(G: GroupTable, m: int, n: int) -> DegreeReport:
     """Probability that x^m and y^n commute, by exhaustive pair count."""
     if m < 1 or n < 1:
         raise ValueError("powers must be >= 1")
-    _check_cap(G, order_cap)
     pm = power_map(G, m)
     pn = power_map(G, n)
     count = int(kernels.count_commuting_pairs_mn(G.mult, pm, pn))
@@ -214,13 +201,11 @@ def degree_mn_pushforward(G: GroupTable, m: int, n: int) -> DegreeReport:
     )
 
 
-def degree_of_product(
-    A: GroupTable, B: GroupTable, verify: bool = False, order_cap: int | None = None
-) -> Fraction:
+def degree_of_product(A: GroupTable, B: GroupTable, verify: bool = False) -> Fraction:
     """d(A x B) = d(A) * d(B); optionally re-counted on the explicit product."""
-    value = degree_bruteforce(A, order_cap).value * degree_bruteforce(B, order_cap).value
+    value = degree_bruteforce(A).value * degree_bruteforce(B).value
     if verify:
-        direct = degree_bruteforce(direct_product(A, B), order_cap).value
+        direct = degree_bruteforce(direct_product(A, B)).value
         if direct != value:
             raise CrossCheckMismatch(
                 f"product degree {value} != explicit product count {direct}"

@@ -19,7 +19,7 @@ class NonAssociative(CommdegError):
 
 
 class OrderCapExceeded(CommdegError):
-    """A closure or quadratic counting pass would exceed the order cap."""
+    """A table build would exceed the order cap."""
 
 
 class InvalidAction(CommdegError, ValueError):

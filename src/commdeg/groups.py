@@ -12,10 +12,19 @@ import bisect
 
 import numpy as np
 
-from commdeg.errors import InvalidAction, NonAssociative, NotLatin, NotNormal
+from commdeg.errors import InvalidAction, NonAssociative, NotLatin, NotNormal, OrderCapExceeded
 from commdeg.kernels import BLOCK_ENTRIES
 
 DEFAULT_ORDER_CAP = 20000
+
+
+def require_order(n, cap=DEFAULT_ORDER_CAP):
+    """Raise OrderCapExceeded if a group of order ``n`` would exceed ``cap``.
+    A cap above DEFAULT_ORDER_CAP does not raise it: a caller can only
+    lower the cap. This is the one place the cap is enforced."""
+    cap = min(cap, DEFAULT_ORDER_CAP)
+    if n > cap:
+        raise OrderCapExceeded(f"order {n} exceeds the order cap {cap}")
 
 
 def _private(arr, dtype=np.int32):
@@ -37,6 +46,24 @@ def _frozen(arr):
 def _row_height(n):
     """Rows per tile of at most BLOCK_ENTRIES entries, and at least one."""
     return max(1, BLOCK_ENTRIES // max(1, n))
+
+
+def table_from_rows(n, rows, labels=None, name="G"):
+    """Validated group of order ``n`` whose table rows s..e-1 are ``rows(s, e)``.
+
+    This is the one place a constructor allocates a table. The order is
+    checked against the cap first. The int32 table is then filled one tile
+    of at most BLOCK_ENTRIES entries (or one row) at a time, so ``rows``
+    needs no n^2 temporary, and frozen, so GroupTable shares it. ``labels``
+    may be a lazy iterable; it is read only once the table is built.
+    """
+    require_order(n)
+    mult = np.empty((n, n), dtype=np.int32)
+    height = _row_height(n)
+    for s in range(0, n, height):
+        e = min(s + height, n)
+        mult[s:e] = rows(s, e)
+    return GroupTable(_frozen(mult), labels=labels, name=name)
 
 
 def _commutes_with_all(mult, s, e):
@@ -371,23 +398,28 @@ def quotient(G: GroupTable, N: Subgroup) -> tuple[GroupTable, Homomorphism]:
         coset_of[G.mult[g, narr]] = len(reps)
         reps.append(g)
     reps = np.array(reps, dtype=np.int32)
-    qmult = coset_of[G.mult[np.ix_(reps, reps)]]
-    labels = tuple(f"{G.label(int(r))}N" for r in reps)
-    Q = GroupTable(qmult, labels=labels, name=f"{G.name}/N{N.order}")
+    Q = table_from_rows(
+        len(reps),
+        lambda s, e: coset_of[G.mult[reps[s:e, None], reps]],
+        labels=(f"{G.label(int(r))}N" for r in reps),
+        name=f"{G.name}/N{N.order}",
+    )
     return Q, Homomorphism(G, Q, coset_of)
 
 
 def direct_product(A: GroupTable, B: GroupTable) -> GroupTable:
     """Product group on pairs (a, b), indexed a * |B| + b."""
     nA, nB = A.order, B.order
-    mult = (A.mult[:, None, :, None].astype(np.int64) * nB
-            + B.mult[None, :, None, :]).reshape(nA * nB, nA * nB)
+    n = nA * nB
+
+    def rows(s, e):
+        a, b = divmod(np.arange(s, e), nB)
+        return (A.mult[a][:, :, None] * nB + B.mult[b][:, None, :]).reshape(e - s, n)
+
     labels = None
     if A.labels is not None or B.labels is not None:
-        labels = tuple(
-            f"({A.label(a)},{B.label(b)})" for a in range(nA) for b in range(nB)
-        )
-    return GroupTable(mult, labels=labels, name=f"{A.name}x{B.name}")
+        labels = (f"({A.label(a)},{B.label(b)})" for a in range(nA) for b in range(nB))
+    return table_from_rows(n, rows, labels=labels, name=f"{A.name}x{B.name}")
 
 
 def check_action(G: GroupTable, act) -> np.ndarray:
@@ -427,10 +459,14 @@ def semidirect_product(N: GroupTable, H: GroupTable, action) -> GroupTable:
     """
     act = _as_action_table(N, H, action)
     nN, nH = N.order, H.order
-    n_part = N.mult[:, act]  # [a, h, a2] = a * phi_h(a2)
-    mult = (n_part[:, :, :, None].astype(np.int64) * nH
-            + H.mult[None, :, None, :]).reshape(nN * nH, nN * nH)
-    return GroupTable(mult, name=f"{N.name}x|{H.name}")
+    n = nN * nH
+
+    def rows(s, e):
+        a, h = divmod(np.arange(s, e), nH)
+        n_part = N.mult[a[:, None], act[h]]  # [row, a2] = a * phi_h(a2)
+        return (n_part[:, :, None] * nH + H.mult[h][:, None, :]).reshape(e - s, n)
+
+    return table_from_rows(n, rows, name=f"{N.name}x|{H.name}")
 
 
 def power_map(G: GroupTable, n: int) -> np.ndarray:

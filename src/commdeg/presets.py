@@ -8,7 +8,14 @@ from __future__ import annotations
 import numpy as np
 
 from commdeg.errors import NotPrime, UnknownPreset
-from commdeg.groups import GroupTable, direct_product, semidirect_product, trivial_group
+from commdeg.groups import (
+    GroupTable,
+    direct_product,
+    require_order,
+    semidirect_product,
+    table_from_rows,
+    trivial_group,
+)
 
 
 def is_prime(p: int) -> bool:
@@ -31,9 +38,11 @@ def require_prime(p) -> int:
 def cyclic(n: int) -> GroupTable:
     if n < 1:
         raise ValueError("cyclic order must be >= 1")
-    idx = np.arange(n)
-    mult = (idx[:, None] + idx[None, :]) % n
-    return GroupTable(mult, labels=tuple(str(i) for i in range(n)), name=f"C{n}")
+
+    def rows(s, e):
+        return (np.arange(s, e, dtype=np.int32)[:, None] + np.arange(n, dtype=np.int32)) % n
+
+    return table_from_rows(n, rows, labels=(str(i) for i in range(n)), name=f"C{n}")
 
 
 def elementary(p: int, k: int) -> GroupTable:
@@ -42,12 +51,19 @@ def elementary(p: int, k: int) -> GroupTable:
     if k < 1:
         raise ValueError("rank must be >= 1")
     n = p**k
-    idx = np.arange(n)
-    digits = (idx[:, None] // p ** np.arange(k)[None, :]) % p
-    sums = (digits[:, None, :] + digits[None, :, :]) % p
-    mult = sums @ (p ** np.arange(k))
-    labels = tuple("(" + ",".join(str(d) for d in row) + ")" for row in digits)
-    return GroupTable(mult, labels=labels, name=f"E{p}^{k}")
+
+    def rows(s, e):
+        # x // w + y // w == digit_w(x) + digit_w(y) mod p: the higher digits
+        # of x // w are multiples of p
+        x, y = np.arange(s, e, dtype=np.int32)[:, None], np.arange(n, dtype=np.int32)
+        out = np.zeros((e - s, n), dtype=np.int32)
+        for i in range(k):
+            w = p**i
+            out += (x // w + y // w) % p * w
+        return out
+
+    labels = ("(" + ",".join(str(i // p**j % p) for j in range(k)) + ")" for i in range(n))
+    return table_from_rows(n, rows, labels=labels, name=f"E{p}^{k}")
 
 
 def heisenberg_level(p: int, k: int) -> GroupTable:
@@ -61,14 +77,22 @@ def heisenberg_level(p: int, k: int) -> GroupTable:
     if k < 1:
         raise ValueError("level must be >= 1")
     q = p**k
-    idx = np.arange(q * q * p)
-    a, b, z = idx // (q * p), (idx // p) % q, idx % p
-    aa = (a[:, None] + a[None, :]) % q
-    bb = (b[:, None] + b[None, :]) % q
-    zz = (z[:, None] + z[None, :] + a[:, None] * b[None, :]) % p
-    mult = (aa * q + bb) * p + zz
-    labels = tuple(f"({ai},{bi},{zi})" for ai, bi, zi in zip(a, b, z))
-    return GroupTable(mult, labels=labels, name=f"H(p={p},k={k})")
+    n = q * q * p
+
+    def coordinates(s, e):
+        idx = np.arange(s, e, dtype=np.int32)
+        return idx // (q * p), (idx // p) % q, idx % p
+
+    def rows(s, e):
+        a, b, z = (c[:, None] for c in coordinates(s, e))
+        a2, b2, z2 = coordinates(0, n)
+        aa = (a + a2) % q
+        bb = (b + b2) % q
+        zz = (z + z2 + a * b2) % p
+        return (aa * q + bb) * p + zz
+
+    labels = (f"({i // (q * p)},{i // p % q},{i % p})" for i in range(n))
+    return table_from_rows(n, rows, labels=labels, name=f"H(p={p},k={k})")
 
 
 def quaternion8() -> GroupTable:
@@ -93,6 +117,7 @@ def quaternion8() -> GroupTable:
 
 def dihedral(n: int) -> GroupTable:
     """Dihedral group of order 2n as C_n x| C_2 with the inversion action."""
+    require_order(2 * n)  # before C_n is built
     cn = cyclic(n)
     c2 = cyclic(2)
     invert = [list(range(n)), [(-i) % n for i in range(n)]]

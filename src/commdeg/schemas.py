@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 
 from commdeg.actions import FiniteAction
-from commdeg.groups import Homomorphism
+from commdeg.groups import DEFAULT_ORDER_CAP, Homomorphism
 from commdeg.lie import LieElement, LiePreset
 from commdeg.specs import build_group
 from commdeg.towers import Tower
@@ -32,9 +32,8 @@ def _load(path) -> dict:
     return doc
 
 
-def tower_from_doc(doc: dict, order_cap: int | None = None) -> Tower:
-    kwargs = {} if order_cap is None else {"order_cap": order_cap}
-    levels = tuple(build_group(spec, **kwargs) for spec in doc["levels"])
+def tower_from_doc(doc: dict, order_cap: int = DEFAULT_ORDER_CAP) -> Tower:
+    levels = tuple(build_group(spec, order_cap) for spec in doc["levels"])
     bonds = tuple(
         Homomorphism(levels[k + 1], levels[k], image)
         for k, image in enumerate(doc["bonds"])
@@ -42,20 +41,19 @@ def tower_from_doc(doc: dict, order_cap: int | None = None) -> Tower:
     return Tower(levels, bonds, name=doc.get("name", "tower"))
 
 
-def load_tower(path, order_cap: int | None = None) -> Tower:
+def load_tower(path, order_cap: int = DEFAULT_ORDER_CAP) -> Tower:
     return tower_from_doc(_load(path), order_cap)
 
 
-def action_from_doc(doc: dict, order_cap: int | None = None) -> FiniteAction:
-    kwargs = {} if order_cap is None else {"order_cap": order_cap}
-    group = build_group(doc["group"], **kwargs)
+def action_from_doc(doc: dict, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteAction:
+    group = build_group(doc["group"], order_cap)
     act = doc["act"]
     if "set_size" in doc and doc["set_size"] != len(act[0]):
         raise ValueError("set_size does not match the action table width")
     return FiniteAction(group, act)
 
 
-def load_action(path, order_cap: int | None = None) -> FiniteAction:
+def load_action(path, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteAction:
     return action_from_doc(_load(path), order_cap)
 
 

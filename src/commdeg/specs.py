@@ -18,19 +18,22 @@ from __future__ import annotations
 
 import json
 
-from commdeg.errors import OrderCapExceeded
+import numpy as np
+
 from commdeg.groups import (
     DEFAULT_ORDER_CAP,
     GroupTable,
     Subgroup,
     direct_product,
     quotient,
+    require_order,
     semidirect_product,
+    table_from_rows,
 )
 from commdeg.presets import build_preset
 
 
-def _bfs_closure(identity, gens, compose, order_cap, what):
+def _bfs_closure(identity, gens, compose, order_cap):
     elems = [identity]
     index = {identity: 0}
     qi = 0
@@ -40,18 +43,19 @@ def _bfs_closure(identity, gens, compose, order_cap, what):
         for g in gens:
             y = compose(x, g)
             if y not in index:
-                if len(elems) >= order_cap:
-                    raise OrderCapExceeded(
-                        f"{what} closure exceeded the order cap {order_cap}"
-                    )
+                require_order(len(elems) + 1, order_cap)
                 index[y] = len(elems)
                 elems.append(y)
     return elems, index
 
 
-def _table_from_closure(elems, index, compose):
-    n = len(elems)
-    return [[index[compose(elems[i], elems[j])] for j in range(n)] for i in range(n)]
+def _table_from_closure(elems, index, compose, labels=None, name="G"):
+    def rows(s, e):
+        return np.array(
+            [[index[compose(x, y)] for y in elems] for x in elems[s:e]], dtype=np.int32
+        )
+
+    return table_from_rows(len(elems), rows, labels=labels, name=name)
 
 
 def permutation_closure(degree, generators, order_cap=DEFAULT_ORDER_CAP, name=None):
@@ -70,10 +74,11 @@ def permutation_closure(degree, generators, order_cap=DEFAULT_ORDER_CAP, name=No
     def compose(p, q):
         return tuple(p[q[i]] for i in range(degree))
 
-    elems, index = _bfs_closure(ident, gens, compose, order_cap, "permutation")
-    table = _table_from_closure(elems, index, compose)
-    labels = tuple(str(e) for e in elems)
-    return GroupTable(table, labels=labels, name=name or f"perm{degree}#{len(elems)}")
+    elems, index = _bfs_closure(ident, gens, compose, order_cap)
+    return _table_from_closure(
+        elems, index, compose, labels=(str(e) for e in elems),
+        name=name or f"perm{degree}#{len(elems)}",
+    )
 
 
 def matrix_mod_closure(mod, dim, generators, order_cap=DEFAULT_ORDER_CAP, name=None):
@@ -94,18 +99,27 @@ def matrix_mod_closure(mod, dim, generators, order_cap=DEFAULT_ORDER_CAP, name=N
             for r in range(dim)
         )
 
-    elems, index = _bfs_closure(ident, gens, compose, order_cap, "matrix")
-    table = _table_from_closure(elems, index, compose)
-    return GroupTable(table, name=name or f"mat{dim}mod{mod}#{len(elems)}")
+    elems, index = _bfs_closure(ident, gens, compose, order_cap)
+    return _table_from_closure(
+        elems, index, compose, name=name or f"mat{dim}mod{mod}#{len(elems)}"
+    )
 
 
 def build_group(spec: dict, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
-    """Elaborate a group spec to a validated GroupTable."""
+    """Elaborate a group spec to a validated GroupTable.
+
+    ``order_cap`` can lower the cap, never raise it. It is checked before
+    the table exists wherever the spec gives the order: the cayley row
+    count, the factor orders of a product or semidirect product, and the
+    closure as it grows. A preset is built under the default cap and then
+    checked against ``order_cap``.
+    """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("group spec must be a dict with a 'kind' key")
     kind = spec["kind"]
     if kind == "cayley":
         table = spec["table"]
+        require_order(len(table), order_cap)
         return GroupTable(
             table,
             labels=spec.get("labels"),
@@ -122,17 +136,18 @@ def build_group(spec: dict, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
             order_cap=order_cap, name=spec.get("name"),
         )
     if kind == "preset":
-        return build_preset(spec["name"], spec.get("params"))
+        G = build_preset(spec["name"], spec.get("params"))
+        require_order(G.order, order_cap)
+        return G
     if kind == "product":
-        return direct_product(
-            build_group(spec["a"], order_cap), build_group(spec["b"], order_cap)
-        )
+        A, B = build_group(spec["a"], order_cap), build_group(spec["b"], order_cap)
+        require_order(A.order * B.order, order_cap)
+        return direct_product(A, B)
     if kind == "semidirect":
-        return semidirect_product(
-            build_group(spec["normal"], order_cap),
-            build_group(spec["acting"], order_cap),
-            spec["action"],
-        )
+        N = build_group(spec["normal"], order_cap)
+        H = build_group(spec["acting"], order_cap)
+        require_order(N.order * H.order, order_cap)
+        return semidirect_product(N, H, spec["action"])
     if kind == "quotient":
         G = build_group(spec["group"], order_cap)
         return quotient(G, Subgroup(G, spec["normal"]))[0]

@@ -18,7 +18,6 @@ from commdeg.errors import (
     CrossCheckMismatch,
     IncompatiblePath,
     IncompatibleSelector,
-    OrderCapExceeded,
 )
 from commdeg.groups import (
     DEFAULT_ORDER_CAP,
@@ -30,6 +29,7 @@ from commdeg.groups import (
     conjugacy_classes,
     direct_product,
     power_map,
+    require_order,
 )
 from commdeg.presets import cyclic, elementary, heisenberg_level, require_prime
 
@@ -68,24 +68,20 @@ class TowerReport:
     n: int = 1
 
 
-def _check_depth_cap(p, depth, exponent, order_cap):
-    cap = DEFAULT_ORDER_CAP if order_cap is None else order_cap
+def _check_depth(depth):
     if depth < 1 or depth > 4:
         raise ValueError("depth must be between 1 and 4")
-    if p**exponent > cap:
-        raise OrderCapExceeded(
-            f"top level of order {p ** exponent} exceeds the cap {cap}"
-        )
 
 
-def heisenberg_tower(p: int, depth: int, order_cap: int | None = None) -> Tower:
+def heisenberg_tower(p: int, depth: int, order_cap: int = DEFAULT_ORDER_CAP) -> Tower:
     """Levels of triples (a, b, z), a and b mod p^k, z mod p.
 
     Bonds reduce a and b mod p^(k-1); the cocycle a*b' mod p only depends
     on a, b' mod p, so every bond is a homomorphism.
     """
     require_prime(p)
-    _check_depth_cap(p, depth, 2 * depth + 1, order_cap)
+    _check_depth(depth)
+    require_order(p ** (2 * depth + 1), order_cap)
     levels = [heisenberg_level(p, k) for k in range(1, depth + 1)]
     bonds = []
     for k in range(1, depth):
@@ -98,10 +94,11 @@ def heisenberg_tower(p: int, depth: int, order_cap: int | None = None) -> Tower:
     return Tower(tuple(levels), tuple(bonds), name=f"heisenberg(p={p})")
 
 
-def elementary_tower(p: int, depth: int, order_cap: int | None = None) -> Tower:
+def elementary_tower(p: int, depth: int, order_cap: int = DEFAULT_ORDER_CAP) -> Tower:
     """Levels (Z/p)^k with coordinate-forgetting bonds."""
     require_prime(p)
-    _check_depth_cap(p, depth, depth, order_cap)
+    _check_depth(depth)
+    require_order(p**depth, order_cap)
     levels = [elementary(p, k) for k in range(1, depth + 1)]
     bonds = []
     for k in range(1, depth):
@@ -112,7 +109,7 @@ def elementary_tower(p: int, depth: int, order_cap: int | None = None) -> Tower:
 
 
 def cyclic_tower(
-    p: int, depth: int, start: int = 1, order_cap: int | None = None
+    p: int, depth: int, start: int = 1, order_cap: int = DEFAULT_ORDER_CAP
 ) -> Tower:
     """Levels Z/p^k for k = start .. start+depth-1, with reduction bonds.
 
@@ -122,7 +119,8 @@ def cyclic_tower(
     require_prime(p)
     if start < 1:
         raise ValueError("start exponent must be >= 1")
-    _check_depth_cap(p, depth, start + depth - 1, order_cap)
+    _check_depth(depth)
+    require_order(p ** (start + depth - 1), order_cap)
     exps = range(start, start + depth)
     levels = [cyclic(p**k) for k in exps]
     bonds = []
@@ -134,8 +132,7 @@ def cyclic_tower(
 
 
 def tower_degrees(
-    t: Tower, m: int = 1, n: int = 1, stabilization_window: int = 2,
-    order_cap: int | None = None,
+    t: Tower, m: int = 1, n: int = 1, stabilization_window: int = 2
 ) -> TowerReport:
     """Per-level exact degrees; raises AntitoneViolation if they increase.
 
@@ -143,7 +140,7 @@ def tower_degrees(
     non-increasing; a violation signals a construction bug, not a
     mathematical possibility.
     """
-    degs = tuple(degree_mn(level, m, n, order_cap=order_cap).value for level in t.levels)
+    degs = tuple(degree_mn(level, m, n).value for level in t.levels)
     for k in range(1, len(degs)):
         if degs[k] > degs[k - 1]:
             raise AntitoneViolation(

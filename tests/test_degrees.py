@@ -19,7 +19,6 @@ from commdeg.degrees import (
     pushforward_power,
     sign_flip_audit,
 )
-from commdeg.errors import OrderCapExceeded
 from commdeg.groups import center, direct_product
 from commdeg.presets import cyclic, dihedral, elementary, quaternion8, symmetric
 
@@ -49,11 +48,6 @@ def test_bruteforce_s3_matches_pair_oracle():
     G = symmetric(3)
     assert degree_bruteforce(G).value == Fraction(1, 2)
     assert degree_bruteforce(G).value == degree_fraction_oracle(G.mult.tolist())
-
-
-def test_bruteforce_respects_order_cap(q8):
-    with pytest.raises(OrderCapExceeded):
-        degree_bruteforce(q8, order_cap=4)
 
 
 def test_centralizer_sum_q8_summand_structure(q8):

@@ -1,0 +1,268 @@
+"""Table construction: every constructor fills its table through
+``groups.table_from_rows``, behind the one cap check ``groups.require_order``."""
+import hashlib
+import inspect
+import re
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import commdeg
+from commdeg import cli, groups, kernels, presets, schemas, specs, towers
+from commdeg.actions import FiniteAction, conjugation_action, translation_action
+from commdeg.degrees import degree_bruteforce, degree_mn, degree_of_product
+from commdeg.errors import OrderCapExceeded
+from commdeg.groups import DEFAULT_ORDER_CAP, direct_product
+from commdeg.specs import build_group
+
+
+def _cyclic_spec(n):
+    return {"kind": "preset", "name": "cyclic", "params": {"n": n}}
+
+
+def _product_spec(a, b):
+    return {"kind": "product", "a": a, "b": b}
+
+
+_D4C4_3 = _product_spec(
+    {"kind": "preset", "name": "dihedral", "params": {"n": 4}},
+    _product_spec(_cyclic_spec(4), _product_spec(_cyclic_spec(4), _cyclic_spec(4))),
+)
+_INVERSION_151 = [list(range(151)), [(-i) % 151 for i in range(151)]]
+
+_BUILDS = {
+    "cyclic(1)": lambda: presets.cyclic(1),
+    "cyclic(2)": lambda: presets.cyclic(2),
+    "cyclic(7)": lambda: presets.cyclic(7),
+    "cyclic(300)": lambda: presets.cyclic(300),
+    "dihedral(1)": lambda: presets.dihedral(1),
+    "dihedral(5)": lambda: presets.dihedral(5),
+    "dihedral(151)": lambda: presets.dihedral(151),
+    "elementary(2,2)": lambda: presets.elementary(2, 2),
+    "elementary(3,3)": lambda: presets.elementary(3, 3),
+    "elementary(2,8)": lambda: presets.elementary(2, 8),
+    "heisenberg_level(3,1)": lambda: presets.heisenberg_level(3, 1),
+    "heisenberg_level(2,3)": lambda: presets.heisenberg_level(2, 3),
+    "quaternion8": presets.quaternion8,
+    "klein4": presets.klein4,
+    "trivial": groups.trivial_group,
+    "product": lambda: build_group(_D4C4_3),
+    "semidirect": lambda: build_group({"kind": "semidirect", "normal": _cyclic_spec(151),
+                                       "acting": _cyclic_spec(2),
+                                       "action": _INVERSION_151}),
+    "quotient": lambda: build_group({"kind": "quotient", "group": _D4C4_3,
+                                     "normal": [0, 1, 2, 3]}),
+    "permgen-S5": lambda: build_group({"kind": "permgen", "degree": 5,
+                                       "generators": [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]}),
+    "matmodgen-GL23": lambda: build_group({"kind": "matmodgen", "mod": 3, "dim": 2,
+                                           "generators": [[2, 0, 0, 1], [1, 1, 0, 1],
+                                                          [0, 2, 1, 0]]}),
+}
+
+# (sha256 of mult.tobytes(), sha256 of the NUL-joined labels, name), each
+# digest cut to 16 hex digits; recorded from the int64 full-table builders
+# these tiled ones replaced.
+_PINS = {
+    "cyclic(1)": ("df3f619804a92fdb", "5feceb66ffc86f38", "C1"),
+    "cyclic(2)": ("8bd2fa7c6873c97e", "28578a6d4a77ab68", "C2"),
+    "cyclic(7)": ("bdcd54e3dba14b50", "7f1211a417fbffcf", "C7"),
+    "cyclic(300)": ("fea85883737acbf0", "2cfe330b4a605f9f", "C300"),
+    "dihedral(1)": ("8bd2fa7c6873c97e", None, "D1"),
+    "dihedral(5)": ("0eda5db841dbf7da", None, "D5"),
+    "dihedral(151)": ("1e01b72668efaf22", None, "D151"),
+    "elementary(2,2)": ("ae6755f9e0f25932", "e9f052bec5cd9804", "E2^2"),
+    "elementary(3,3)": ("fccb855f84f4a7e4", "ea499f6b0827d222", "E3^3"),
+    "elementary(2,8)": ("98ea9204da3a2e3b", "011b1680930130a6", "E2^8"),
+    "heisenberg_level(3,1)": ("5a006f1ce2a029a0", "e163890e62d34986", "H(p=3,k=1)"),
+    "heisenberg_level(2,3)": ("a15b0200e20e8282", "d890e1d01ac29038", "H(p=2,k=3)"),
+    "quaternion8": ("ad417e51a0214d79", "a190f59860619687", "Q8"),
+    "klein4": ("ae6755f9e0f25932", "e9f052bec5cd9804", "V4"),
+    "trivial": ("df3f619804a92fdb", "3f79bb7b435b0532", "1"),
+    "product": ("9371c6b42469e69b", "ffa3b9bcc8e7a84c", "D4xC4xC4xC4"),
+    "semidirect": ("1e01b72668efaf22", None, "C151x|C2"),
+    "quotient": ("390904177f3f0cd4", "a85ea277497bd5ca", "D4xC4xC4xC4/N4"),
+    "permgen-S5": ("5e00940fc0f83fe8", "608067d2c5384c1f", "perm5#120"),
+    "matmodgen-GL23": ("72d7c83e12d72eab", None, "mat2mod3#48"),
+}
+
+# sha256 of act.tobytes() for the conjugation and translation actions
+_ACTION_PINS = {
+    "dihedral(5)": ("bc0ad81fbc796a4b", "0eda5db841dbf7da"),
+    "quaternion8": ("5677e883ea545ea8", "ad417e51a0214d79"),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _pin(G):
+    labels = None if G.labels is None else _sha("\x00".join(G.labels).encode())
+    return _sha(G.mult.tobytes()), labels, G.name
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# ---------------------------------------------------------------------------
+# the tables are the ones the full-table builders made
+
+
+@pytest.mark.parametrize("block", [1, 100, kernels.BLOCK_ENTRIES])
+@pytest.mark.parametrize("key", sorted(_PINS))
+def test_tables_labels_and_names_are_pinned_at_every_tile_size(monkeypatch, key, block):
+    monkeypatch.setattr(groups, "BLOCK_ENTRIES", block)
+    G = _BUILDS[key]()
+    assert G.mult.dtype == np.int32 and G.mult.flags.c_contiguous
+    assert not G.mult.flags.writeable
+    assert _pin(G) == _PINS[key]
+
+
+@pytest.mark.parametrize("key", sorted(_ACTION_PINS))
+def test_action_tables_are_pinned(key):
+    G = _BUILDS[key]()
+    conj, trans = conjugation_action(G), translation_action(G)
+    assert (_sha(conj.act.tobytes()), _sha(trans.act.tobytes())) == _ACTION_PINS[key]
+    assert trans.act is G.mult  # the frozen table is shared, not copied
+    for a in (conj, trans):
+        assert a.act.dtype == np.int32 and not a.act.flags.writeable
+
+
+def test_action_copies_a_writable_array_and_leaves_it_writable():
+    G = presets.cyclic(5)
+    mine = np.array(G.mult)
+    a = FiniteAction(G, mine)
+    assert mine.flags.writeable and not np.shares_memory(mine, a.act)
+    mine[0, 0] = 3
+    assert a.act[0, 0] == 0
+
+
+def test_table_from_rows_shares_the_table_it_fills():
+    G = groups.table_from_rows(6, lambda s, e: (np.arange(s, e)[:, None] + np.arange(6)) % 6)
+    assert np.array_equal(G.mult, presets.cyclic(6).mult)
+    assert G.mult.base is None and not G.mult.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# memory: the table plus one tile's temporaries
+
+def _d4c4_4():
+    G = presets.dihedral(4)
+    for _ in range(3):
+        G = direct_product(G, presets.cyclic(4))
+    C4 = presets.cyclic(4)
+    return lambda: direct_product(G, C4)
+
+
+_MEMORY_CASES = {
+    "elementary(2,10)": lambda: lambda: presets.elementary(2, 10),
+    "heisenberg_level(5,2)": lambda: lambda: presets.heisenberg_level(5, 2),
+    "dihedral(1024)": lambda: lambda: presets.dihedral(1024),
+    "D4xC4^3 x C4": _d4c4_4,
+}
+
+
+@pytest.mark.parametrize("key", sorted(_MEMORY_CASES))
+def test_builder_peak_is_the_table_plus_one_tile(key):
+    build = _MEMORY_CASES[key]()  # factors are inputs, built outside the trace
+    out = []
+    peak = _traced_peak(lambda: out.append(build()))
+    table = 4 * out[0].order ** 2
+    tile = 4 * 8 * kernels.BLOCK_ENTRIES  # four int64 tiles
+    assert peak <= 1.5 * table + tile, (key, peak, table)
+
+
+# ---------------------------------------------------------------------------
+# oversize input fails before anything of its size is allocated
+
+_SQUARE_150_ACTION = [list(range(150))] * 150
+
+_OVERSIZE = {
+    "cyclic(20001)": lambda: presets.cyclic(20001),
+    "elementary(2,15)": lambda: presets.elementary(2, 15),
+    "dihedral(10001)": lambda: presets.dihedral(10001),
+    "direct_product(C150, C150)": lambda: direct_product(presets.cyclic(150),
+                                                         presets.cyclic(150)),
+    "product spec": lambda: build_group(_product_spec(_cyclic_spec(150), _cyclic_spec(150))),
+    "semidirect spec": lambda: build_group({"kind": "semidirect",
+                                            "normal": _cyclic_spec(150),
+                                            "acting": _cyclic_spec(150),
+                                            "action": _SQUARE_150_ACTION}),
+    "product spec under a user cap": lambda: build_group(
+        _product_spec(_cyclic_spec(20), _cyclic_spec(20)), order_cap=399),
+    "cayley spec under a user cap": lambda: build_group(
+        {"kind": "cayley", "table": presets.cyclic(5).mult.tolist()}, order_cap=4),
+    "heisenberg_tower(5, 3)": lambda: towers.heisenberg_tower(5, 3),
+    "elementary_tower under a user cap": lambda: towers.elementary_tower(2, 4, order_cap=8),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_OVERSIZE))
+def test_oversize_input_raises_before_allocating(key):
+    def call():
+        with pytest.raises(OrderCapExceeded, match="cap"):
+            _OVERSIZE[key]()
+
+    assert _traced_peak(call) < 1 << 20
+
+
+def test_cli_oversize_preset_exits_1_before_allocating(capsys):
+    rc = []
+    peak = _traced_peak(lambda: rc.append(cli.main(
+        ["degree", "--preset", "cyclic", "--n", "30000"])))
+    assert rc == [1] and "cap" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
+def test_cli_order_cap_lowers_the_cap_for_presets(capsys):
+    # the preset kind is checked on the built group, so the order-300
+    # table (360 KB) exists first; nothing bigger does
+    rc = []
+    peak = _traced_peak(lambda: rc.append(cli.main(
+        ["degree", "--preset", "cyclic", "--n", "300", "--order-cap", "100"])))
+    assert rc == [1] and "cap" in capsys.readouterr().err
+    assert peak < (1 << 20) + 4 * 300**2
+
+
+def test_order_cap_cannot_be_raised_past_the_default():
+    with pytest.raises(OrderCapExceeded, match=str(DEFAULT_ORDER_CAP)):
+        groups.require_order(DEFAULT_ORDER_CAP + 1, 10 * DEFAULT_ORDER_CAP)
+    groups.require_order(DEFAULT_ORDER_CAP, 10 * DEFAULT_ORDER_CAP)
+
+
+# ---------------------------------------------------------------------------
+# one cap check, and none on the counting routes
+
+
+def test_counting_routes_take_no_order_cap():
+    for fn in (degree_bruteforce, degree_mn, degree_of_product, towers.tower_degrees):
+        assert "order_cap" not in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_every_order_cap_defaults_to_the_cap():
+    fns = [fn for module in (specs, schemas, towers, cli)
+           for fn in vars(module).values()
+           if inspect.isfunction(fn) and fn.__module__ == module.__name__
+           and not fn.__name__.startswith("_")]
+    defaults = [inspect.signature(fn).parameters["order_cap"].default
+                for fn in fns if "order_cap" in inspect.signature(fn).parameters]
+    defaults.append(cli.RunConfig("degree", preset="s3").order_cap)
+    assert len(defaults) >= 9
+    assert set(defaults) == {DEFAULT_ORDER_CAP}
+
+
+def test_require_order_is_the_only_raise_of_the_cap():
+    src = Path(commdeg.__file__).parent
+    raises = [(path.name, line) for path in sorted(src.glob("*.py"))
+              for line in path.read_text().splitlines()
+              if re.search(r"raise OrderCapExceeded\b", line)]
+    assert len(raises) == 1 and raises[0][0] == "groups.py"
+    assert "raise OrderCapExceeded" in inspect.getsource(groups.require_order)

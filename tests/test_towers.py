@@ -111,7 +111,7 @@ def test_antitone_violation_branch(monkeypatch):
             self.value = value
 
     monkeypatch.setattr(
-        towers_mod, "degree_mn", lambda level, m, n, order_cap=None: FakeReport(next(calls))
+        towers_mod, "degree_mn", lambda level, m, n: FakeReport(next(calls))
     )
     with pytest.raises(AntitoneViolation):
         tower_degrees(elementary_tower(2, 2))
