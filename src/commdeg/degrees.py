@@ -4,6 +4,13 @@ Three independent exact routes to the same number (pair count, centralizer
 index sum, central-coset decomposition) plus the power-pair variants and
 their pushforward cross-check. No floating point anywhere in this module:
 every value is a reduced Fraction whose denominator divides |G|^2.
+
+The routes stay different computations, so that they check each other.
+The pair count runs ``kernels.count_commuting_pairs`` over the whole
+table. The centralizer sum runs ``kernels.centralizer_sizes`` over all
+pairs. The structural route finds the center from the generators alone
+(``groups.center_mask``), takes the least member of each central coset
+and counts a centralizer mask for each of those representatives only.
 """
 from __future__ import annotations
 
@@ -16,8 +23,8 @@ from commdeg import kernels
 from commdeg.errors import CrossCheckMismatch
 from commdeg.groups import (
     GroupTable,
-    center,
-    centralizer,
+    center_mask,
+    coset_minima,
     direct_product,
     power_map,
     semidirect_product,
@@ -99,17 +106,11 @@ def degree_centralizer_sum(G: GroupTable) -> DegreeReport:
     )
 
 
-def central_coset_representatives(G: GroupTable) -> list[int]:
-    """Least-index representatives of the cosets of the center, ascending."""
-    zmemb = np.array(center(G).members, dtype=np.int32)
-    assigned = np.zeros(G.order, dtype=bool)
-    reps = []
-    for g in range(G.order):
-        if assigned[g]:
-            continue
-        assigned[G.mult[g, zmemb]] = True
-        reps.append(g)
-    return reps
+def central_coset_representatives(G: GroupTable) -> np.ndarray:
+    """Least-index representatives of the cosets of the center, ascending:
+    the x that are the least element of x Z(G)."""
+    least = coset_minima(G, np.flatnonzero(center_mask(G)))
+    return np.flatnonzero(least == np.arange(G.order))
 
 
 def degree_structural(G: GroupTable) -> DegreeReport:
@@ -118,21 +119,23 @@ def degree_structural(G: GroupTable) -> DegreeReport:
     One representative g_j per coset of the center contributes
     1/[G : Z(g_j, G)]; the total is averaged over the coset count. The
     value is representative-independent because the centralizer index is
-    constant on each coset.
+    constant on each coset. Each |Z(g_j, G)| counts the x with
+    g_j x == x g_j, for a tile of representatives at a time.
     """
     reps = central_coset_representatives(G)
-    breakdown = []
-    acc = Fraction(0)
-    for g in reps:
-        term = Fraction(1, centralizer(G, g).index)
-        breakdown.append((g, term))
-        acc += term
+    sizes = np.empty(len(reps), dtype=np.int64)
+    height = max(1, kernels.BLOCK_ENTRIES // G.order)
+    for s in range(0, len(reps), height):
+        r = reps[s:s + height]
+        sizes[s:s + height] = (G.mult[r] == G.mult.take(r, axis=1).T).sum(axis=1)
+    terms = {int(z): Fraction(1, G.order // int(z)) for z in np.unique(sizes)}
+    breakdown = tuple((int(g), terms[int(z)]) for g, z in zip(reps, sizes))
     return DegreeReport(
-        value=acc / len(reps),
+        value=sum((t for _, t in breakdown), Fraction(0)) / len(reps),
         method="structural",
         group_name=G.name,
         group_order=G.order,
-        breakdown=tuple(breakdown),
+        breakdown=breakdown,
     )
 
 

@@ -66,11 +66,6 @@ def table_from_rows(n, rows, labels=None, name="G"):
     return GroupTable(_frozen(mult), labels=labels, name=name)
 
 
-def _commutes_with_all(mult, s, e):
-    """Row tile [s, e) of the mask "x commutes with every element"."""
-    return (mult[s:e] == mult[:, s:e].T).all(axis=1)
-
-
 def _right_closure(mult, gens, reached):
     """Grow the mask ``reached`` in place by right multiplication by ``gens``."""
     frontier = np.flatnonzero(reached)
@@ -209,11 +204,11 @@ class GroupTable:
         return k
 
     def is_abelian(self) -> bool:
-        """mult == mult.T, compared one row tile at a time; stops at the
-        first tile with a non-central element."""
-        height = _row_height(self.order)
-        return all(_commutes_with_all(self.mult, s, s + height).all()
-                   for s in range(0, self.order, height))
+        """The generators commute pairwise; then so do their products, which
+        are all of G."""
+        gens = np.array(self.generators, dtype=np.intp)
+        block = self.mult[gens[:, None], gens]
+        return bool(np.array_equal(block, block.T))
 
     def label(self, g: int) -> str:
         return self.labels[g] if self.labels is not None else str(g)
@@ -319,14 +314,30 @@ def conjugacy_classes(G: GroupTable) -> list[tuple[int, ...]]:
     return classes
 
 
+def center_mask(G: GroupTable) -> np.ndarray:
+    """Mask of Z(G): the x that commute with every element of G.generators.
+    The elements x commutes with form a subgroup, so it holds all of G once
+    it holds the generators. Reads one row and one column per generator."""
+    mask = np.ones(G.order, dtype=bool)
+    for g in G.generators:
+        mask &= G.mult[:, g] == G.mult[g]
+    return mask
+
+
 def center(G: GroupTable) -> Subgroup:
-    """Z(G): the rows of the table that equal their columns, one row tile at
-    a time (independent of the centralizer sizes in ``kernels``)."""
-    mask = np.empty(G.order, dtype=bool)
-    height = _row_height(G.order)
+    """Z(G), from ``center_mask``."""
+    return Subgroup(G, np.flatnonzero(center_mask(G)))
+
+
+def coset_minima(G: GroupTable, members) -> np.ndarray:
+    """least[x] = the least element of the coset x H, for H the subgroup
+    with these members; computed one row tile of the table at a time."""
+    arr = np.asarray(members, dtype=np.intp)
+    least = np.empty(G.order, dtype=np.int32)
+    height = _row_height(len(arr))
     for s in range(0, G.order, height):
-        mask[s:s + height] = _commutes_with_all(G.mult, s, s + height)
-    return Subgroup(G, np.flatnonzero(mask))
+        least[s:s + height] = G.mult[s:s + height].take(arr, axis=1).min(axis=1)
+    return least
 
 
 def subgroup_generated(G: GroupTable, gens) -> Subgroup:
@@ -389,15 +400,9 @@ def quotient(G: GroupTable, N: Subgroup) -> tuple[GroupTable, Homomorphism]:
         raise ValueError("subgroup does not belong to this group")
     if not is_normal(G, N):
         raise NotNormal(f"subgroup of order {N.order} is not normal in {G.name}")
-    narr = np.array(N.members, dtype=np.int32)
-    coset_of = np.full(G.order, -1, dtype=np.int32)
-    reps = []
-    for g in range(G.order):
-        if coset_of[g] >= 0:
-            continue
-        coset_of[G.mult[g, narr]] = len(reps)
-        reps.append(g)
-    reps = np.array(reps, dtype=np.int32)
+    least = coset_minima(G, N.members)
+    reps = np.flatnonzero(least == np.arange(G.order)).astype(np.int32)
+    coset_of = np.searchsorted(reps, least).astype(np.int32)
     Q = table_from_rows(
         len(reps),
         lambda s, e: coset_of[G.mult[reps[s:e, None], reps]],

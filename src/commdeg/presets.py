@@ -46,21 +46,36 @@ def cyclic(n: int) -> GroupTable:
 
 
 def elementary(p: int, k: int) -> GroupTable:
-    """(Z/p)^k with little-endian digit encoding: index = sum x_i * p^i."""
+    """(Z/p)^k with little-endian digit encoding: index = sum x_i * p^i.
+
+    For p = 2 the sum is XOR. Otherwise each index splits into its low
+    ceil(k/2) digits and the rest, and both halves of a sum are read from
+    one table of digit sums on the low half's p^ceil(k/2) values.
+    """
     require_prime(p)
     if k < 1:
         raise ValueError("rank must be >= 1")
     n = p**k
+    require_order(n)  # before the digit table is built
+    y = np.arange(n, dtype=np.int32)
+    if p == 2:
+        def rows(s, e):
+            return np.arange(s, e, dtype=np.int32)[:, None] ^ y
+    elif k == 1:
+        def rows(s, e):
+            return (np.arange(s, e, dtype=np.int32)[:, None] + y) % p
+    else:
+        half = (k + 1) // 2
+        q = p**half
+        low = np.arange(q, dtype=np.int32)
+        # x // w + y // w == digit_w(x) + digit_w(y) mod p: the higher
+        # digits of x // w are multiples of p
+        sums = sum((low[:, None] // p**i + low // p**i) % p * p**i for i in range(half))
+        y_high, y_low = np.divmod(y, q)
 
-    def rows(s, e):
-        # x // w + y // w == digit_w(x) + digit_w(y) mod p: the higher digits
-        # of x // w are multiples of p
-        x, y = np.arange(s, e, dtype=np.int32)[:, None], np.arange(n, dtype=np.int32)
-        out = np.zeros((e - s, n), dtype=np.int32)
-        for i in range(k):
-            w = p**i
-            out += (x // w + y // w) % p * w
-        return out
+        def rows(s, e):
+            x_high, x_low = np.divmod(np.arange(s, e, dtype=np.int32)[:, None], q)
+            return sums[x_high, y_high] * q + sums[x_low, y_low]
 
     labels = ("(" + ",".join(str(i // p**j % p) for j in range(k)) + ")" for i in range(n))
     return table_from_rows(n, rows, labels=labels, name=f"E{p}^{k}")
@@ -138,10 +153,14 @@ def _perm_closure_table(degree: int, gens: list[tuple[int, ...]], name: str) -> 
     return permutation_closure(degree, gens, name=name)
 
 
-def symmetric(n: int) -> GroupTable:
+def _degree(kind: str, n: int) -> int:
     if not 1 <= n <= 6:
-        raise ValueError("symmetric preset supports 1 <= n <= 6")
-    if n == 1:
+        raise ValueError(f"{kind} preset supports 1 <= n <= 6")
+    return n
+
+
+def symmetric(n: int) -> GroupTable:
+    if _degree("symmetric", n) == 1:
         return GroupTable([[0]], labels=("()",), name="S1")
     gens = [tuple([1, 0] + list(range(2, n)))]
     if n > 2:
@@ -150,9 +169,7 @@ def symmetric(n: int) -> GroupTable:
 
 
 def alternating(n: int) -> GroupTable:
-    if not 1 <= n <= 6:
-        raise ValueError("alternating preset supports 1 <= n <= 6")
-    if n <= 2:
+    if _degree("alternating", n) <= 2:
         return GroupTable([[0]], labels=("()",), name=f"A{n}")
     gens = [tuple([1, 2, 0] + list(range(3, n)))]
     if n > 3:
@@ -163,19 +180,36 @@ def alternating(n: int) -> GroupTable:
     return _perm_closure_table(n, gens, f"A{n}")
 
 
+def _elementary_params(params):
+    return int(params["p"]), int(params.get("k", params.get("n", 1)))
+
+
+def _elementary_order(params):
+    p, k = _elementary_params(params)
+    return require_prime(p) ** k
+
+
+_FACTORIALS = (1, 1, 2, 6, 24, 120, 720)
+
+# name -> (order from the params, builder from the params)
 _PRESETS = {
-    "trivial": lambda params: trivial_group(),
-    "cyclic": lambda params: cyclic(int(params["n"])),
-    "klein4": lambda params: klein4(),
-    "quaternion8": lambda params: quaternion8(),
-    "dihedral": lambda params: dihedral(int(params["n"])),
-    "symmetric": lambda params: symmetric(int(params["n"])),
-    "alternating": lambda params: alternating(int(params["n"])),
-    "s3": lambda params: symmetric(3),
-    "s4": lambda params: symmetric(4),
-    "a4": lambda params: alternating(4),
-    "elementary": lambda params: elementary(int(params["p"]), int(params.get("k", params.get("n", 1)))),
-    "heisenberg-mod": lambda params: heisenberg_level(int(params["p"]), 1),
+    "trivial": (lambda params: 1, lambda params: trivial_group()),
+    "cyclic": (lambda params: int(params["n"]), lambda params: cyclic(int(params["n"]))),
+    "klein4": (lambda params: 4, lambda params: klein4()),
+    "quaternion8": (lambda params: 8, lambda params: quaternion8()),
+    "dihedral": (lambda params: 2 * int(params["n"]),
+                 lambda params: dihedral(int(params["n"]))),
+    "symmetric": (lambda params: _FACTORIALS[_degree("symmetric", int(params["n"]))],
+                  lambda params: symmetric(int(params["n"]))),
+    "alternating": (lambda params: max(1, _FACTORIALS[_degree("alternating",
+                                                              int(params["n"]))] // 2),
+                    lambda params: alternating(int(params["n"]))),
+    "s3": (lambda params: 6, lambda params: symmetric(3)),
+    "s4": (lambda params: 24, lambda params: symmetric(4)),
+    "a4": (lambda params: 12, lambda params: alternating(4)),
+    "elementary": (_elementary_order, lambda params: elementary(*_elementary_params(params))),
+    "heisenberg-mod": (lambda params: require_prime(int(params["p"])) ** 3,
+                       lambda params: heisenberg_level(int(params["p"]), 1)),
 }
 
 
@@ -183,17 +217,26 @@ def preset_names() -> tuple[str, ...]:
     return tuple(sorted(_PRESETS))
 
 
-def build_preset(name: str, params: dict | None = None) -> GroupTable:
+def _from_params(name: str, which: int, params: dict | None):
     try:
-        builder = _PRESETS[name]
+        fn = _PRESETS[name][which]
     except KeyError:
         raise UnknownPreset(
             f"unknown group preset {name!r}; known: {', '.join(preset_names())}"
         ) from None
     try:
-        return builder(params or {})
+        return fn(params or {})
     except KeyError as exc:
         raise ValueError(f"preset {name!r} is missing parameter {exc}") from None
+
+
+def preset_order(name: str, params: dict | None = None) -> int:
+    """Order of the preset's group, from its params alone: nothing is built."""
+    return _from_params(name, 0, params)
+
+
+def build_preset(name: str, params: dict | None = None) -> GroupTable:
+    return _from_params(name, 1, params)
 
 
 __all__ = [
@@ -207,6 +250,7 @@ __all__ = [
     "is_prime",
     "klein4",
     "preset_names",
+    "preset_order",
     "quaternion8",
     "require_prime",
     "symmetric",

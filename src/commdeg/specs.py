@@ -10,9 +10,19 @@ A spec is a dict with a "kind" key:
   {"kind": "semidirect","normal": spec, "acting": spec, "action": [[...], ...]}
   {"kind": "quotient",  "group": spec, "normal": [member indices]}
 
-Elaboration is deterministic; generator closures run breadth-first from the
-identity, applying generators in input order, numbering new elements by
-discovery, so identical specs give bit-identical tables.
+Elaboration is deterministic, so identical specs give bit-identical
+tables. A generator closure numbers its elements as a scalar breadth-first
+search does: from the identity, taking one element off the queue at a
+time, applying the generators in input order and numbering each product
+not seen before. Here the search is level-synchronous on an (n, d) array
+of elements. It takes a tile of the queue, forms every product of a tile
+element and a generator, and numbers the new ones by first occurrence in
+(queue position, generator) order. A product's number depends only on the
+elements queued before it and on that order, which are the scalar
+search's, so the numbering is the same at any tile size. Elements are
+found by one exact key, the bytes of their row in the smallest unsigned
+dtype that holds the entries, kept sorted and searched with
+``searchsorted``.
 """
 from __future__ import annotations
 
@@ -24,38 +34,71 @@ from commdeg.groups import (
     DEFAULT_ORDER_CAP,
     GroupTable,
     Subgroup,
+    _row_height,
     direct_product,
     quotient,
     require_order,
     semidirect_product,
     table_from_rows,
 )
-from commdeg.presets import build_preset
+from commdeg.presets import build_preset, preset_order
 
 
-def _bfs_closure(identity, gens, compose, order_cap):
-    elems = [identity]
-    index = {identity: 0}
-    qi = 0
-    while qi < len(elems):
-        x = elems[qi]
-        qi += 1
-        for g in gens:
-            y = compose(x, g)
-            if y not in index:
-                require_order(len(elems) + 1, order_cap)
-                index[y] = len(elems)
-                elems.append(y)
-    return elems, index
+def _unsigned(bound):
+    """Smallest unsigned dtype that holds 0..bound-1."""
+    return next(dtype for dtype in (np.uint8, np.uint16, np.uint32, np.uint64)
+                if bound - 1 <= np.iinfo(dtype).max)
 
 
-def _table_from_closure(elems, index, compose, labels=None, name="G"):
+def _keys(rows):
+    """One exact key per row of a 2-D array: the row's bytes as np.void."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+
+
+def _closure_table(identity, gens, products, order_cap, name, prefix, labels=None):
+    """Validated group generated by ``gens`` from ``identity``, its elements
+    numbered in breadth-first discovery order (see the module docstring).
+
+    ``identity`` is a row of an unsigned dtype that holds every entry.
+    ``products(X, Y)`` is the (len(X), len(Y), d) array of the products
+    x * y, for X rows of elements and Y either ``gens`` or every element as
+    intp. Without a ``name`` the group is named ``{prefix}#{order}``.
+    ``labels(E)`` gives lazy labels for the element array E.
+    """
+    d = identity.size
+    elems = np.empty((16, d), dtype=identity.dtype)
+    elems[0] = identity
+    count, queued = 1, 0
+    known = _keys(elems[:1])  # the keys of elems[:count], sorted
+    height = _row_height(len(gens))  # a queue tile has BLOCK_ENTRIES products
+    while queued < count:
+        stop = min(count, queued + height)
+        cand = products(elems[queued:stop], gens).reshape(-1, d)
+        queued = stop
+        keys = _keys(cand)
+        pos = np.minimum(np.searchsorted(known, keys), len(known) - 1)
+        fresh = np.flatnonzero(known[pos] != keys)
+        new, first = np.unique(keys[fresh], return_index=True)
+        require_order(count + len(new), order_cap)
+        if count + len(new) > len(elems):
+            elems = np.resize(elems, (max(2 * len(elems), count + len(new)), d))
+        elems[count:count + len(new)] = cand[fresh[np.sort(first)]]
+        count += len(new)
+        known = np.insert(known, np.searchsorted(known, new), new)
+
+    elems = elems[:count]
+    keys = _keys(elems)
+    index = np.argsort(keys).astype(np.int32)
+    keys = keys[index]
+    right = elems.astype(np.intp)
+
     def rows(s, e):
-        return np.array(
-            [[index[compose(x, y)] for y in elems] for x in elems[s:e]], dtype=np.int32
-        )
+        found = np.searchsorted(keys, _keys(products(elems[s:e], right).reshape(-1, d)))
+        return index[found].reshape(e - s, count)
 
-    return table_from_rows(len(elems), rows, labels=labels, name=name)
+    return table_from_rows(count, rows, labels=None if labels is None else labels(elems),
+                           name=name or f"{prefix}#{count}")
 
 
 def permutation_closure(degree, generators, order_cap=DEFAULT_ORDER_CAP, name=None):
@@ -63,45 +106,59 @@ def permutation_closure(degree, generators, order_cap=DEFAULT_ORDER_CAP, name=No
 
     Composition convention: (p * q)(i) = p(q(i)).
     """
+    if degree < 1:
+        raise ValueError("permutation degree must be >= 1")
     gens = []
     for g in generators:
         g = tuple(int(v) for v in g)
         if sorted(g) != list(range(degree)):
             raise ValueError(f"generator {g} is not a permutation of 0..{degree - 1}")
         gens.append(g)
-    ident = tuple(range(degree))
 
-    def compose(p, q):
-        return tuple(p[q[i]] for i in range(degree))
+    def products(X, Y):  # (x * y)(i) = x(y(i))
+        return X[:, Y]
 
-    elems, index = _bfs_closure(ident, gens, compose, order_cap)
-    return _table_from_closure(
-        elems, index, compose, labels=(str(e) for e in elems),
-        name=name or f"perm{degree}#{len(elems)}",
+    return _closure_table(
+        np.arange(degree, dtype=_unsigned(degree)),
+        np.array(gens, dtype=np.intp).reshape(len(gens), degree),
+        products, order_cap,
+        name, f"perm{degree}",
+        labels=lambda E: (str(tuple(row.tolist())) for row in E),
     )
 
 
 def matrix_mod_closure(mod, dim, generators, order_cap=DEFAULT_ORDER_CAP, name=None):
-    """Group generated by dim x dim integer matrices modulo mod."""
+    """Group generated by dim x dim integer matrices modulo mod.
+
+    Products are summed in int32, or in int64 where ``dim * (mod - 1)**2``
+    does not fit in int32; it must fit in int64.
+    """
     if mod < 2:
         raise ValueError("modulus must be >= 2")
+    if dim < 1:
+        raise ValueError("matrix dimension must be >= 1")
+    bound = dim * (mod - 1) ** 2
+    if bound > np.iinfo(np.int64).max:
+        raise ValueError(f"modulus {mod} too large for exact int64 products")
+    wide = np.int32 if bound <= np.iinfo(np.int32).max else np.int64
     gens = []
     for flat in generators:
         flat = [int(v) % mod for v in flat]
         if len(flat) != dim * dim:
             raise ValueError(f"matrix generator must have {dim * dim} entries")
-        gens.append(tuple(tuple(flat[r * dim : (r + 1) * dim]) for r in range(dim)))
-    ident = tuple(tuple(1 if r == c else 0 for c in range(dim)) for r in range(dim))
+        gens.append(flat)
+    dtype = _unsigned(mod)
 
-    def compose(a, b):
-        return tuple(
-            tuple(sum(a[r][k] * b[k][c] for k in range(dim)) % mod for c in range(dim))
-            for r in range(dim)
-        )
+    def products(X, Y):
+        XY = np.einsum("aij,bjk->abik", X.reshape(-1, dim, dim), Y.reshape(-1, dim, dim),
+                       dtype=wide, casting="unsafe")
+        return np.remainder(XY, mod, out=XY).astype(dtype).reshape(len(X), len(Y), dim * dim)
 
-    elems, index = _bfs_closure(ident, gens, compose, order_cap)
-    return _table_from_closure(
-        elems, index, compose, name=name or f"mat{dim}mod{mod}#{len(elems)}"
+    return _closure_table(
+        np.eye(dim, dtype=dtype).ravel(),
+        np.array(gens, dtype=dtype).reshape(len(gens), dim * dim),
+        products, order_cap,
+        name, f"mat{dim}mod{mod}",
     )
 
 
@@ -109,10 +166,9 @@ def build_group(spec: dict, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """Elaborate a group spec to a validated GroupTable.
 
     ``order_cap`` can lower the cap, never raise it. It is checked before
-    the table exists wherever the spec gives the order: the cayley row
-    count, the factor orders of a product or semidirect product, and the
-    closure as it grows. A preset is built under the default cap and then
-    checked against ``order_cap``.
+    the table exists: on the cayley row count, a preset's order from its
+    params, the factor orders of a product or semidirect product, and the
+    closure as it grows.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("group spec must be a dict with a 'kind' key")
@@ -136,9 +192,9 @@ def build_group(spec: dict, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
             order_cap=order_cap, name=spec.get("name"),
         )
     if kind == "preset":
-        G = build_preset(spec["name"], spec.get("params"))
-        require_order(G.order, order_cap)
-        return G
+        name, params = spec["name"], spec.get("params")
+        require_order(preset_order(name, params), order_cap)
+        return build_preset(name, params)
     if kind == "product":
         A, B = build_group(spec["a"], order_cap), build_group(spec["b"], order_cap)
         require_order(A.order * B.order, order_cap)

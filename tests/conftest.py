@@ -227,6 +227,67 @@ def oracle_philox4x32(counter, key):
     return x0, x1, x2, x3
 
 
+def oracle_closure(identity, gens, compose):
+    """Scalar breadth-first closure: take one element off the queue at a
+    time, apply the generators in input order, number each product not
+    seen before. Returns the elements in that order and the table as lists.
+    """
+    elems = [identity]
+    index = {identity: 0}
+    qi = 0
+    while qi < len(elems):
+        x = elems[qi]
+        qi += 1
+        for g in gens:
+            y = compose(x, g)
+            if y not in index:
+                index[y] = len(elems)
+                elems.append(y)
+    return elems, [[index[compose(x, y)] for y in elems] for x in elems]
+
+
+def oracle_permutation_closure(degree, generators):
+    """(table, labels, default name) of the group the permutations generate,
+    composed as (p * q)(i) = p(q(i))."""
+
+    def compose(p, q):
+        return tuple(p[q[i]] for i in range(degree))
+
+    gens = [tuple(int(v) for v in g) for g in generators]
+    elems, table = oracle_closure(tuple(range(degree)), gens, compose)
+    return table, tuple(str(e) for e in elems), f"perm{degree}#{len(elems)}"
+
+
+def oracle_matrix_closure(mod, dim, generators):
+    """(table, None, default name) of the group the matrices generate mod m."""
+
+    def compose(a, b):
+        return tuple(
+            tuple(sum(a[r][k] * b[k][c] for k in range(dim)) % mod for c in range(dim))
+            for r in range(dim)
+        )
+
+    gens = [tuple(tuple(int(v) % mod for v in flat[r * dim:(r + 1) * dim])
+                  for r in range(dim)) for flat in generators]
+    ident = tuple(tuple(int(r == c) for c in range(dim)) for r in range(dim))
+    elems, table = oracle_closure(ident, gens, compose)
+    return table, None, f"mat{dim}mod{mod}#{len(elems)}"
+
+
+def oracle_structural_breakdown(table):
+    """(g, 1/[G : Z(g)]) for the least member g of each coset of the center,
+    ascending, all plain loops."""
+    n = len(table)
+    zcenter = [x for x in range(n) if all(table[x][y] == table[y][x] for y in range(n))]
+    seen, out = set(), []
+    for g in range(n):
+        if g in seen:
+            continue
+        seen |= {table[g][z] for z in zcenter}
+        out.append((g, Fraction(len(oracle_centralizer(table, g)), n)))
+    return tuple(out)
+
+
 # a 5x5 Latin square with two-sided identity that is not associative
 NONASSOCIATIVE_LOOP = [
     [0, 1, 2, 3, 4],

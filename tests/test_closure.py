@@ -1,0 +1,110 @@
+"""Generator closures: the level-synchronous search in ``specs`` numbers the
+elements as the scalar breadth-first search in ``conftest`` does, at every
+queue tile size, and stops at the order cap before it passes it."""
+import functools
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from commdeg import groups, kernels, presets, specs
+from commdeg.errors import OrderCapExceeded
+
+from conftest import oracle_matrix_closure, oracle_permutation_closure
+
+
+def _symmetric_gens(n):
+    gens = [tuple([1, 0] + list(range(2, n)))] if n > 1 else []
+    return gens + ([tuple(list(range(1, n)) + [0])] if n > 2 else [])
+
+
+def _alternating_gens(n):
+    gens = [tuple([1, 2, 0] + list(range(3, n)))]
+    if n > 3:
+        gens.append(tuple(list(range(1, n)) + [0]) if n % 2
+                    else tuple([0] + list(range(2, n)) + [1]))
+    return gens
+
+
+_GL23 = [[2, 0, 0, 1], [1, 1, 0, 1], [0, 2, 1, 0]]
+_SL25 = [[1, 1, 0, 1], [0, 4, 1, 0]]
+_GL25 = [[2, 0, 0, 1], [1, 1, 0, 1], [0, 4, 1, 0]]
+_HEISENBERG3 = [[1, 1, 0, 0, 1, 0, 0, 0, 1], [1, 0, 0, 0, 1, 1, 0, 0, 1]]
+# entries up to 256 need two-byte keys; 16 has order 4 mod 257
+_MOD257 = [[256, 0, 0, 1], [0, 1, 1, 0], [16, 0, 0, 16]]
+
+# name -> (build, oracle arguments, expected name)
+_CASES = {
+    **{f"S{n}": (lambda n=n: presets.symmetric(n) if n > 1
+                 else specs.permutation_closure(1, [], name="S1"),
+                 ("perm", n, _symmetric_gens(n)), f"S{n}")
+       for n in range(1, 7)},
+    **{f"A{n}": (lambda n=n: presets.alternating(n),
+                 ("perm", n, _alternating_gens(n)), f"A{n}")
+       for n in range(3, 7)},
+    "GL(2,3)": (lambda: specs.matrix_mod_closure(3, 2, _GL23), ("mat", 3, 2, _GL23), None),
+    "SL(2,5)": (lambda: specs.matrix_mod_closure(5, 2, _SL25), ("mat", 5, 2, _SL25), None),
+    "GL(2,5)": (lambda: specs.matrix_mod_closure(5, 2, _GL25), ("mat", 5, 2, _GL25), None),
+    "Heisenberg mod 3": (lambda: specs.build_group({"kind": "matmodgen", "mod": 3, "dim": 3,
+                                                     "generators": _HEISENBERG3}),
+                         ("mat", 3, 3, _HEISENBERG3), None),
+    "mod 257": (lambda: specs.matrix_mod_closure(257, 2, _MOD257),
+                ("mat", 257, 2, _MOD257), None),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle(key):
+    kind, *args = _CASES[key][1]
+    if kind == "perm":
+        return oracle_permutation_closure(*args)
+    return oracle_matrix_closure(*args)
+
+
+@pytest.mark.parametrize("block", [1, 7, kernels.BLOCK_ENTRIES])
+@pytest.mark.parametrize("key", sorted(_CASES))
+def test_closure_matches_the_scalar_search(monkeypatch, key, block):
+    monkeypatch.setattr(groups, "BLOCK_ENTRIES", block)
+    build, _, name = _CASES[key]
+    G = build()
+    table, labels, default_name = _oracle(key)
+    assert G.mult.tolist() == table
+    assert G.labels == labels
+    assert G.name == (name or default_name)
+
+
+def test_mod_257_needs_two_byte_keys():
+    assert (specs._unsigned(256), specs._unsigned(257)) == (np.uint8, np.uint16)
+    assert max(max(row) for row in _MOD257) == 256
+
+
+def test_runaway_closure_raises_before_passing_the_cap(monkeypatch):
+    checked = []
+    require = specs.require_order
+    monkeypatch.setattr(specs, "require_order",
+                        lambda n, cap: checked.append(n) or require(n, cap))
+    cycle = tuple(range(1, 30)) + (0,)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderCapExceeded, match="cap 10"):
+            specs.permutation_closure(30, [cycle], order_cap=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # every check before the failing one let the closure grow to at most 10
+    assert checked[-1] > 10 and max(checked[:-1]) <= 10
+
+
+def test_closure_past_the_default_cap_raises():
+    with pytest.raises(OrderCapExceeded, match="cap"):
+        specs.permutation_closure(8, _symmetric_gens(8))  # |S8| = 40320
+
+
+def test_closure_rejects_empty_degrees_and_huge_moduli():
+    with pytest.raises(ValueError, match="degree"):
+        specs.permutation_closure(0, [])
+    with pytest.raises(ValueError, match="dimension"):
+        specs.matrix_mod_closure(3, 0, [])
+    with pytest.raises(ValueError, match="int64"):
+        specs.matrix_mod_closure(1 << 40, 2, [[1, 0, 0, 1]])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commdeg import kernels
+from commdeg import groups, kernels
 from commdeg.degrees import (
     DegreeReport,
     Distribution,
@@ -26,6 +26,7 @@ from conftest import (
     degree_fraction_oracle,
     oracle_commuting_count_mn,
     oracle_normal_subgroups,
+    oracle_structural_breakdown,
     quotient_by_members,
 )
 
@@ -99,6 +100,22 @@ def test_structural_is_representative_independent(q8):
     for picks in ([c[-1] for c in cosets.values()], [c[0] for c in cosets.values()]):
         total = sum(Fraction(1, centralizer(q8, g).index) for g in picks)
         assert total / len(picks) == expected
+
+
+@pytest.mark.parametrize("block", [1, 100, kernels.BLOCK_ENTRIES])
+def test_structural_breakdown_center_and_abelian_match_the_loops(corpus, monkeypatch, block):
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", block)
+    monkeypatch.setattr(groups, "BLOCK_ENTRIES", block)
+    for name, G in corpus.items():
+        table = G.mult.tolist()
+        n = G.order
+        want = oracle_structural_breakdown(table)
+        rep = degree_structural(G)
+        assert rep.breakdown == want, name
+        assert rep.value == sum(t for _, t in want) / len(want), name
+        zcenter = [x for x in range(n) if all(table[x][y] == table[y][x] for y in range(n))]
+        assert list(center(G).members) == zcenter, name
+        assert G.is_abelian() == (len(zcenter) == n), name
 
 
 def test_three_way_equality_sample(corpus):

@@ -192,16 +192,12 @@ def test_center_and_is_abelian_in_row_tiles(corpus, monkeypatch, block):
         Subgroup(cyclic(8), [0, 1, 2, 3, 4, 5, 6])
 
 
-def test_is_abelian_stops_at_the_first_failing_tile(monkeypatch):
-    monkeypatch.setattr(groups, "BLOCK_ENTRIES", 1024)
-    tiles = []
-    compare = groups._commutes_with_all
-    monkeypatch.setattr(groups, "_commutes_with_all",
-                        lambda mult, s, e: tiles.append(s) or compare(mult, s, e))
-    assert not dihedral(256).is_abelian()  # element 1 is a reflection
-    assert tiles == [0]
-    assert cyclic(512).is_abelian()
-    assert len(tiles) == 1 + 256
+def test_is_abelian_compares_only_the_generators():
+    """The check reads the generators' block of the table: under 16 KB, where
+    one row tile of these order-512 tables compared whole takes 64 KB."""
+    for G, abelian in ((dihedral(256), False), (cyclic(512), True), (elementary(2, 9), True)):
+        assert _traced_peak(G.is_abelian) < 1 << 14
+        assert G.is_abelian() == abelian
 
 
 def test_center_and_is_abelian_peaks_stay_below_one_byte_per_entry(monkeypatch):

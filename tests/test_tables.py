@@ -223,13 +223,50 @@ def test_cli_oversize_preset_exits_1_before_allocating(capsys):
 
 
 def test_cli_order_cap_lowers_the_cap_for_presets(capsys):
-    # the preset kind is checked on the built group, so the order-300
-    # table (360 KB) exists first; nothing bigger does
+    # the preset's order is checked from its params before it is built;
+    # the bound still leaves room for the order-300 table (360 KB)
     rc = []
     peak = _traced_peak(lambda: rc.append(cli.main(
         ["degree", "--preset", "cyclic", "--n", "300", "--order-cap", "100"])))
     assert rc == [1] and "cap" in capsys.readouterr().err
     assert peak < (1 << 20) + 4 * 300**2
+
+
+def test_cli_order_cap_refuses_a_preset_before_building_it(capsys):
+    rc = []
+    peak = _traced_peak(lambda: rc.append(cli.main(
+        ["degree", "--preset", "cyclic", "--n", "20000", "--order-cap", "100"])))
+    assert rc == [1] and "cap" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
+_PRESET_PARAMS = [
+    ("trivial", {}), ("cyclic", {"n": 7}), ("klein4", {}), ("quaternion8", {}),
+    ("dihedral", {"n": 5}), ("s3", {}), ("s4", {}), ("a4", {}),
+    *[("symmetric", {"n": n}) for n in range(1, 7)],
+    *[("alternating", {"n": n}) for n in range(1, 7)],
+    ("elementary", {"p": 3, "k": 2}), ("elementary", {"p": 2, "n": 3}),
+    ("elementary", {"p": 5}), ("heisenberg-mod", {"p": 3}),
+]
+
+
+def test_every_preset_has_an_order_from_its_params():
+    assert {name for name, _ in _PRESET_PARAMS} == set(presets.preset_names())
+    for name, params in _PRESET_PARAMS:
+        assert presets.preset_order(name, params) == presets.build_preset(name, params).order
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 5), (3, 1), (3, 2), (3, 4), (5, 3), (7, 2),
+                                 (11, 2)])
+def test_elementary_adds_digit_by_digit(p, k):
+    n = p**k
+
+    def digits(i):
+        return [i // p**j % p for j in range(k)]
+
+    expected = [[sum((a + b) % p * p**j for j, (a, b) in enumerate(zip(digits(x), digits(y))))
+                 for y in range(n)] for x in range(n)]
+    assert presets.elementary(p, k).mult.tolist() == expected
 
 
 def test_order_cap_cannot_be_raised_past_the_default():
