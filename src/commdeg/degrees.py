@@ -93,11 +93,12 @@ def degree_bruteforce(G: GroupTable) -> DegreeReport:
 
 
 def degree_centralizer_sum(G: GroupTable) -> DegreeReport:
-    """d(G) = (1/|G|) * sum over g of 1/[G : Z(g, G)]."""
-    sizes = kernels.centralizer_sizes(G.mult)
+    """d(G) = (1/|G|) * sum over g of 1/[G : Z(g, G)], one term per
+    distinct centralizer size, weighted by how many g have that size."""
+    sizes, counts = np.unique(kernels.centralizer_sizes(G.mult), return_counts=True)
     acc = Fraction(0)
-    for size in sizes:
-        acc += Fraction(1, G.order // int(size))
+    for size, count in zip(sizes.tolist(), counts.tolist()):
+        acc += Fraction(count, G.order // size)
     return DegreeReport(
         value=acc / G.order,
         method="centralizer_sum",

@@ -12,6 +12,10 @@ multiply names its uint64 loop, so the product never wraps at 32 bits
 whatever the scalar-promotion rules of the NumPy version); the high
 and low 32-bit halves of a product are read as strided uint32 views of its
 buffer, so no shift or mask is needed. The round keys are Python ints.
+
+``words`` hands ``philox4x32`` each block's four output columns as ``out``,
+so a block is written once, straight into the (N, n_words) result; every
+block is still one ``philox4x32`` call on the full counter array.
 """
 from __future__ import annotations
 
@@ -29,11 +33,13 @@ _ROUNDS = 10
 _LO, _HI = (0, 1) if sys.byteorder == "little" else (1, 0)
 
 
-def philox4x32(counter: np.ndarray, key0: int, key1: int) -> np.ndarray:
+def philox4x32(counter: np.ndarray, key0: int, key1: int,
+               out: np.ndarray | None = None) -> np.ndarray:
     """One Philox4x32-10 block per row of ``counter`` (shape (N, 4), uint32).
 
-    Returns an (N, 4) uint32 array; ``counter`` is not modified. The key
-    words are taken mod 2^32.
+    Returns an (N, 4) uint32 array, written into ``out`` (any (N, 4) uint32
+    array, a strided view included) when given; ``counter`` is not
+    modified. The key words are taken mod 2^32.
     """
     n = len(counter)
     x0, x1, x2, x3 = (np.array(counter[:, i], dtype=np.uint32) for i in range(4))
@@ -56,7 +62,7 @@ def philox4x32(counter: np.ndarray, key0: int, key1: int) -> np.ndarray:
         np.copyto(x3, lo0)
         k0 = (k0 + _W0) & _MASK32
         k1 = (k1 + _W1) & _MASK32
-    return np.stack([x0, x1, x2, x3], axis=1)
+    return np.stack([x0, x1, x2, x3], axis=1, out=out)
 
 
 def words(seed: int, trial_lo: int, trial_hi: int, n_words: int, tag: int) -> np.ndarray:
@@ -77,7 +83,7 @@ def words(seed: int, trial_lo: int, trial_hi: int, n_words: int, tag: int) -> np
     ctr[:, 3] = tag
     for b in range(blocks):
         ctr[:, 2] = b
-        out[:, 4 * b : 4 * b + 4] = philox4x32(ctr, k0, k1)
+        philox4x32(ctr, k0, k1, out=out[:, 4 * b : 4 * b + 4])
     return out[:, :n_words]
 
 

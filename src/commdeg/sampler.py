@@ -17,6 +17,26 @@ as the estimators.
 Trial i draws from RNG substream i (see rng.py), so estimates are
 bit-reproducible for a given (preset, m, n, trials, seed) regardless of
 chunking or evaluation order.
+
+Angles live in R/Z. Reduction mod 1 is written ``x - floor(x)``, which is
+``x % 1.0`` bit for bit: for x >= 0 the fractional part is a double and
+the subtraction is exact; for x < 0 both forms round the same real number
+x - floor(x) once; integers give +0.0 in both, and infinities and NaN give
+NaN in both. A doubling condition "2a = 0 mod 1" is ``t == floor(t)`` for
+t = 2a, which holds exactly when ``t % 1.0 == 0.0`` for every finite t.
+Infinite t would satisfy the first but not the second, and an infinite or
+NaN parameter has no meaning on a compact group, so ``from_params`` refuses
+non-finite parameters (``from_words`` never produces them). A finite t can
+still overflow, as 2(a - a') for two flips with |a - a'| >= 2^1023; there
+the forms differ, but neither answer means anything, since a double that
+large carries no fractional bits of either angle.
+
+A quaternion power x^k starts from x and takes k - 1 Hamilton products.
+Starting from the identity, as 1 * x, gives the same doubles except that a
+zero component may change sign, and no predicate can see that: they
+compare with ``==``, and products and sums of equal values stay equal.
+Decoded samples have no zero components, so for them the two agree bit
+for bit.
 """
 from __future__ import annotations
 
@@ -34,6 +54,23 @@ from commdeg.presets import quaternion8
 from commdeg.rng import gaussians_from_uniforms, to_uniform, words
 
 _CHUNK = 1 << 16
+
+
+def _mod1(x):
+    """``x % 1.0``, bit for bit, computed in place (see the module docstring)."""
+    x -= np.floor(x)
+    return x
+
+
+def _integral(t):
+    """Where ``t % 1.0 == 0.0``, for finite t (see the module docstring)."""
+    return t == np.floor(t)
+
+
+def _finite(arrays, what):
+    if not np.isfinite(arrays).all():
+        raise ValueError(f"{what} must be finite")
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -113,10 +150,10 @@ class TorusPreset:
         return [tuple(float(a) for a in row) for row in arrays]
 
     def from_params(self, params_list):
-        return np.array(params_list, dtype=np.float64)
+        return _finite(np.array(params_list, dtype=np.float64), "torus angles")
 
     def power_arrays(self, arrays, k):
-        return (k * arrays) % 1.0
+        return _mod1(k * arrays)
 
     def commute_arrays(self, xa, ya):
         return np.ones(len(xa), dtype=bool)
@@ -147,17 +184,18 @@ class DihedralPreset:
 
     def from_params(self, params_list):
         angles = np.array([a for a, _ in params_list], dtype=np.float64)
-        signs = np.array([s for _, s in params_list], dtype=np.int8)
-        return angles, signs
+        signs = [s for _, s in params_list]
+        if any(s != 1 and s != -1 for s in signs):
+            raise ValueError("dihedral signs must be 1 or -1")
+        return _finite(angles, "dihedral angles"), np.array(signs, dtype=np.int8)
 
     def power_arrays(self, arrays, k):
         angles, signs = arrays
         if k % 2 == 0:
-            pos = (k * angles) % 1.0
-            out_angles = np.where(signs == 1, pos, 0.0)
+            out_angles = np.where(signs == 1, _mod1(k * angles), 0.0)
             out_signs = np.ones_like(signs)
         else:
-            out_angles = np.where(signs == 1, (k * angles) % 1.0, angles)
+            out_angles = np.where(signs == 1, _mod1(k * angles), angles)
             out_signs = signs
         return out_angles, out_signs
 
@@ -165,9 +203,9 @@ class DihedralPreset:
         ax, sx = xa
         ay, sy = ya
         both_rot = (sx == 1) & (sy == 1)
-        flip_rot = (sx == -1) & (sy == 1) & ((2.0 * ay) % 1.0 == 0.0)
-        rot_flip = (sx == 1) & (sy == -1) & ((2.0 * ax) % 1.0 == 0.0)
-        both_flip = (sx == -1) & (sy == -1) & ((2.0 * (ax - ay)) % 1.0 == 0.0)
+        flip_rot = (sx == -1) & (sy == 1) & _integral(2.0 * ay)
+        rot_flip = (sx == 1) & (sy == -1) & _integral(2.0 * ax)
+        both_flip = (sx == -1) & (sy == -1) & _integral(2.0 * (ax - ay))
         return both_rot | flip_rot | rot_flip | both_flip
 
     def exact_degree(self, m, n):
@@ -217,12 +255,12 @@ class QuaternionPreset:
         return [tuple(float(v) for v in row) for row in arrays]
 
     def from_params(self, params_list):
-        return np.array(params_list, dtype=np.float64)
+        return _finite(np.array(params_list, dtype=np.float64), "quaternion entries")
 
     def power_arrays(self, arrays, k):
-        acc = np.zeros_like(arrays)
-        acc[:, 0] = 1.0
-        for _ in range(k):
+        """x^k by k - 1 products from x (``arrays`` itself when k = 1)."""
+        acc = arrays
+        for _ in range(k - 1):
             acc = _quat_mul(acc, arrays)
         return acc
 

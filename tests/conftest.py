@@ -10,6 +10,7 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import commdeg
@@ -225,6 +226,51 @@ def oracle_philox4x32(counter, key):
         k0 = (k0 + 0x9E3779B9) & mask
         k1 = (k1 + 0xBB67AE85) & mask
     return x0, x1, x2, x3
+
+
+def oracle_torus_power(angles, k):
+    """x^k on the torus, reduced mod 1 by ``%``."""
+    return (k * angles) % 1.0
+
+
+def oracle_dihedral_power(arrays, k):
+    """x^k on the continuous dihedral group, reduced mod 1 by ``%``."""
+    angles, signs = arrays
+    if k % 2 == 0:
+        pos = (k * angles) % 1.0
+        return np.where(signs == 1, pos, 0.0), np.ones_like(signs)
+    return np.where(signs == 1, (k * angles) % 1.0, angles), signs
+
+
+def oracle_dihedral_commute(xa, ya):
+    """The dihedral predicate with each doubling condition as ``% 1.0 == 0``."""
+    ax, sx = xa
+    ay, sy = ya
+    both_rot = (sx == 1) & (sy == 1)
+    flip_rot = (sx == -1) & (sy == 1) & ((2.0 * ay) % 1.0 == 0.0)
+    rot_flip = (sx == 1) & (sy == -1) & ((2.0 * ax) % 1.0 == 0.0)
+    both_flip = (sx == -1) & (sy == -1) & ((2.0 * (ax - ay)) % 1.0 == 0.0)
+    return both_rot | flip_rot | rot_flip | both_flip
+
+
+def oracle_quaternion_power(q, k):
+    """q^k for an (N, 4) array of (w, x, y, z): k Hamilton products
+    starting from the identity."""
+    def mul(a, b):
+        w1, x1, y1, z1 = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+        w2, x2, y2, z2 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
+        return np.stack([
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        ], axis=-1)
+
+    acc = np.zeros_like(q)
+    acc[:, 0] = 1.0
+    for _ in range(k):
+        acc = mul(acc, q)
+    return acc
 
 
 def oracle_closure(identity, gens, compose):

@@ -18,7 +18,13 @@ from commdeg.sampler import (
     get_sampler_preset,
     sample,
 )
-from conftest import oracle_philox4x32
+from conftest import (
+    oracle_dihedral_commute,
+    oracle_dihedral_power,
+    oracle_philox4x32,
+    oracle_quaternion_power,
+    oracle_torus_power,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +115,27 @@ def test_philox_products_never_wrap_at_32_bits(monkeypatch, scalar):
     ctr = _random_counters(256, 9)
     out = philox4x32(ctr, 123, 456)
     assert [tuple(map(int, row)) for row in out] == _oracle_blocks(ctr, 123, 456)
+
+
+def test_philox_writes_into_a_strided_out_view():
+    ctr = _random_counters(300, 5)
+    wide = np.zeros((300, 12), dtype=np.uint32)
+    got = philox4x32(ctr, 7, 8, out=wide[:, 4:8])
+    assert np.shares_memory(got, wide)
+    assert np.array_equal(wide[:, 4:8], philox4x32(ctr, 7, 8))
+    assert not wide[:, :4].any() and not wide[:, 8:].any()
+
+
+def test_words_make_one_philox_call_per_block_on_every_row(monkeypatch):
+    calls = []
+
+    def spy(counter, key0, key1, out=None):
+        calls.append(len(counter))
+        return philox4x32(counter, key0, key1, out=out)
+
+    monkeypatch.setattr(rng, "philox4x32", spy)
+    words(3, 10, 1010, 9, tag=0)
+    assert calls == [1000, 1000, 1000]
 
 
 def test_product_halves_follow_the_byte_order():
@@ -215,6 +242,43 @@ def test_params_codec_round_trips_bit_exactly(p):
         assert a.tobytes() == b.tobytes()
 
 
+_NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+def test_from_params_rejects_non_finite_parameters(bad):
+    torus3 = sampler_mod.TorusPreset(3)
+    rejected = [
+        (get_sampler_preset("torus"), [(0.5,), (bad,)]),
+        (torus3, [(0.1, bad, 0.2)]),
+        (get_sampler_preset("dihedral"), [(0.5, 1), (bad, -1)]),
+        (get_sampler_preset("dihedral"), [(bad, 1)]),
+        (get_sampler_preset("su2"), [(1.0, 0.0, 0.0, 0.0), (0.5, bad, 0.5, 0.5)]),
+        (get_sampler_preset("so3"), [(bad, 0.0, 0.0, 0.0)]),
+        (get_sampler_preset("torus-x-quaternion8"), [((bad,), (3,))]),
+    ]
+    for p, params in rejected:
+        with pytest.raises(ValueError, match="finite"):
+            p.from_params(params)
+    # commutes() decodes its elements through from_params
+    x = SampledElement("torus", (bad,))
+    y = SampledElement("torus", (0.5,))
+    with pytest.raises(ValueError):
+        commutes("torus", x, y, 1, 1)
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2, 0.5, 127])
+def test_dihedral_from_params_rejects_signs_other_than_plus_minus_one(sign):
+    p = get_sampler_preset("dihedral")
+    with pytest.raises(ValueError, match="signs"):
+        p.from_params([(0.25, 1), (0.25, sign)])
+    with pytest.raises(ValueError):
+        commutes(p, SampledElement("dihedral", (0.25, sign)),
+                 SampledElement("dihedral", (0.5, 1)), 1, 1)
+    angles, signs = p.from_params([(0.25, 1), (0.5, -1), (0.75, 1.0)])
+    assert signs.tolist() == [1, -1, 1] and signs.dtype == np.int8
+
+
 def test_presets_expose_exactly_the_batch_protocol():
     presets = _every_preset()
     classes = {c for c in vars(sampler_mod).values()
@@ -277,6 +341,103 @@ def test_so3_orthogonal_half_turns_commute_but_not_in_su2():
     xs = SampledElement("su2", (0.0, 1.0, 0.0, 0.0))
     ys = SampledElement("su2", (0.0, 0.0, 1.0, 0.0))
     assert not commutes("su2", xs, ys, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# power maps and predicates against the % and identity-start oracles
+
+_ORACLE_POWER = {
+    "torus": oracle_torus_power,
+    "dihedral": oracle_dihedral_power,
+    "su2": oracle_quaternion_power,
+    "so3": oracle_quaternion_power,
+}
+_DECODED = 70001
+
+
+def _same_bits(got, want):
+    got, want = _leaves(got), _leaves(want)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_POWER))
+def test_power_maps_match_the_oracles_bit_for_bit_on_decoded_samples(name):
+    p = get_sampler_preset(name)
+    for tag in (0, 1):
+        arrays = p.from_words(words(2026, 0, _DECODED, p.words_per_element, tag))
+        for k in range(1, 5):
+            _same_bits(p.power_arrays(arrays, k), _ORACLE_POWER[name](arrays, k))
+
+
+def test_product_preset_powers_match_the_oracles_bit_for_bit():
+    p = get_sampler_preset("torus-x-quaternion8")
+    angles, idx = p.from_words(words(2026, 0, _DECODED, p.words_per_element, 0))
+    for k in range(1, 5):
+        got_angles, got_idx = p.power_arrays([angles, idx], k)
+        _same_bits(got_angles, oracle_torus_power(angles, k))
+        assert np.array_equal(got_idx, p.components[1].power_arrays(idx, k))
+
+
+def test_dihedral_predicate_matches_the_oracle_on_decoded_samples():
+    p = get_sampler_preset("dihedral")
+    xa = p.from_words(words(2026, 0, _DECODED, 2, tag=0))
+    ya = p.from_words(words(2026, 0, _DECODED, 2, tag=1))
+    for m, n in itertools.product(range(1, 5), repeat=2):
+        xm, yn = oracle_dihedral_power(xa, m), oracle_dihedral_power(ya, n)
+        want = oracle_dihedral_commute(xm, yn)
+        assert np.array_equal(p.commute_arrays(xm, yn), want), (m, n)
+        assert np.array_equal(sampler_mod._commute_mask(p, xa, ya, m, n), want), (m, n)
+
+
+_EDGE = (0.0, -0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53, 2.0**-1074, 3.5)
+_EDGE_ANGLES = np.array(_EDGE + tuple(-a for a in _EDGE if a), dtype=np.float64)
+
+
+def test_torus_power_matches_the_oracle_bit_for_bit_on_edge_angles():
+    p = get_sampler_preset("torus")
+    arrays = p.from_params([(a,) for a in _EDGE_ANGLES])
+    for k in range(1, 5):
+        _same_bits(p.power_arrays(arrays, k), oracle_torus_power(arrays, k))
+
+
+def test_dihedral_matches_the_oracles_bit_for_bit_on_edge_angles():
+    p = get_sampler_preset("dihedral")
+    elems = [(float(a), s) for a in _EDGE_ANGLES for s in (1, -1)]
+    pairs = list(itertools.product(elems, repeat=2))
+    xa = p.from_params([x for x, _ in pairs])
+    ya = p.from_params([y for _, y in pairs])
+    fired = 0
+    for m, n in itertools.product(range(1, 5), repeat=2):
+        xm, yn = p.power_arrays(xa, m), p.power_arrays(ya, n)
+        _same_bits(xm, oracle_dihedral_power(xa, m))
+        _same_bits(yn, oracle_dihedral_power(ya, n))
+        got = p.commute_arrays(xm, yn)
+        assert np.array_equal(got, oracle_dihedral_commute(xm, yn)), (m, n)
+        fired += int((got & ((xm[1] == -1) | (yn[1] == -1))).sum())
+    assert fired > 0  # the doubling conditions were exercised, not just rotations
+
+
+def test_quaternion_power_equals_the_identity_start_on_zero_components():
+    # starting from the identity may flip the sign of a zero component;
+    # the values, and so every predicate, agree
+    h = 2.0**-0.5
+    qs = np.array([
+        (1.0, 0.0, 0.0, 0.0), (-1.0, -0.0, 0.0, -0.0), (0.0, 1.0, 0.0, 0.0),
+        (-0.0, 0.0, -1.0, 0.0), (0.0, -0.0, -0.0, -1.0), (h, -h, 0.0, -0.0),
+        (0.5, -0.5, 0.5, -0.5), (-0.0, h, -h, 0.0),
+    ])
+    pairs = list(itertools.product(range(len(qs)), repeat=2))
+    xa, ya = qs[[i for i, _ in pairs]], qs[[j for _, j in pairs]]
+    for name in ("su2", "so3"):
+        p = get_sampler_preset(name)
+        for m, n in itertools.product(range(1, 5), repeat=2):
+            xm, yn = p.power_arrays(xa, m), p.power_arrays(ya, n)
+            om, on = oracle_quaternion_power(xa, m), oracle_quaternion_power(ya, n)
+            assert np.array_equal(xm, om) and np.array_equal(yn, on), (name, m, n)
+            assert np.array_equal(p.commute_arrays(xm, yn), p.commute_arrays(om, on))
 
 
 def test_preset_mismatch_raises():
@@ -353,6 +514,23 @@ def test_estimate_product_preset_tracks_q8():
     est = estimate_degree_mn("torus-x-quaternion8", 1, 1, 100000, 17)
     assert est.exact == Fraction(5, 8)
     assert abs(est.mean - 0.625) <= 3 * est.stderr
+
+
+@pytest.mark.parametrize("name, m, n, successes", [
+    ("dihedral", 1, 1, 33092),
+    ("dihedral", 2, 3, 98511),
+    ("dihedral", 3, 3, 33092),
+    ("so3", 1, 1, 0),
+    ("so3", 2, 2, 0),
+    ("su2", 2, 2, 0),
+    ("su2", 3, 1, 0),
+    ("torus", 2, 3, 131075),
+    ("torus-x-quaternion8", 1, 1, 82224),
+    ("torus-x-quaternion8", 1, 2, 131075),
+])
+def test_estimate_success_counts_are_pinned(name, m, n, successes):
+    # two full chunks and a ragged one
+    assert estimate_degree_mn(name, m, n, 131075, 2026).successes == successes
 
 
 def test_estimate_reproducible_and_chunk_independent(monkeypatch):
