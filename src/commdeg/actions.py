@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from commdeg.degrees import Distribution
-from commdeg.groups import GroupTable, Subgroup, _frozen, _private, check_action
+from commdeg.groups import GroupTable, Subgroup, _frozen, _private, check_action, distinct
 
 
 class FiniteAction:
@@ -47,7 +47,7 @@ def orbits(a: FiniteAction) -> list[tuple[int, ...]]:
     for x in range(a.set_size):
         if seen[x]:
             continue
-        orb = np.unique(a.act[:, x])
+        orb = distinct(a.act[:, x])
         seen[orb] = True
         out.append(tuple(int(v) for v in orb))
     return out

@@ -14,6 +14,10 @@ CSV schemas:
 
 Exit codes: 0 success, 1 input/parse errors, 2 exact cross-check mismatch,
 3 numeric non-convergence.
+
+A subcommand imports only its own modules: each ``cmd_*`` function
+imports what it runs when it is called, so ``import commdeg.cli`` loads
+no numpy and, for example, ``straight`` loads ``lie`` alone.
 """
 from __future__ import annotations
 
@@ -24,15 +28,8 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from commdeg import schemas
-from commdeg.degrees import (
-    degree_bruteforce,
-    degree_centralizer_sum,
-    degree_mn,
-    degree_mn_pushforward,
-    degree_structural,
-)
 from commdeg.errors import (
+    DEFAULT_ORDER_CAP,
     AntitoneViolation,
     CommdegError,
     CrossCheckMismatch,
@@ -40,17 +37,6 @@ from commdeg.errors import (
     NonConvergence,
     UnknownPreset,
 )
-from commdeg.groups import (
-    DEFAULT_ORDER_CAP,
-    center,
-    characteristic_abelian_subgroup,
-    commutator_subgroup,
-    conjugacy_classes,
-)
-from commdeg.lie import build_lie_preset, straightness_verdict
-from commdeg.sampler import estimate_degree_mn, estimate_finite, get_sampler_preset
-from commdeg.specs import build_group, load_group_spec
-from commdeg.towers import cyclic_tower, elementary_tower, heisenberg_tower, tower_degrees
 
 
 @dataclass
@@ -110,6 +96,8 @@ _ESTIMATE_HEADER = [
 
 
 def _load_group(cfg: RunConfig):
+    from commdeg.specs import build_group, load_group_spec
+
     if cfg.group_file is not None:
         spec = load_group_spec(cfg.group_file)
     else:
@@ -118,6 +106,8 @@ def _load_group(cfg: RunConfig):
 
 
 def cmd_degree(cfg: RunConfig) -> int:
+    from commdeg.degrees import degree_bruteforce, degree_centralizer_sum, degree_structural
+
     G = _load_group(cfg)
     reports = [
         degree_bruteforce(G),
@@ -140,6 +130,8 @@ def cmd_degree(cfg: RunConfig) -> int:
 
 
 def cmd_degree_mn(cfg: RunConfig) -> int:
+    from commdeg.degrees import degree_mn, degree_mn_pushforward
+
     G = _load_group(cfg)
     direct = degree_mn(G, cfg.m, cfg.n)
     pushed = degree_mn_pushforward(G, cfg.m, cfg.n)
@@ -155,30 +147,27 @@ def cmd_degree_mn(cfg: RunConfig) -> int:
     return 0
 
 
-_TOWER_PRESETS = {
-    "heisenberg": heisenberg_tower,
-    "elementary": elementary_tower,
-    "cyclic": cyclic_tower,
-}
+# Tower presets by name; ``NAME`` is built by ``towers.NAME_tower``.
+_TOWER_PRESETS = ("cyclic", "elementary", "heisenberg")
 
 
 def cmd_tower(cfg: RunConfig) -> int:
+    from commdeg import schemas, towers
+
     if cfg.group_file is not None:
         tower = schemas.load_tower(cfg.group_file, cfg.order_cap)
     else:
-        try:
-            builder = _TOWER_PRESETS[cfg.preset]
-        except KeyError:
+        if cfg.preset not in _TOWER_PRESETS:
             raise UnknownPreset(
-                f"unknown tower preset {cfg.preset!r}; known: "
-                + ", ".join(sorted(_TOWER_PRESETS))
-            ) from None
+                f"unknown tower preset {cfg.preset!r}; known: " + ", ".join(_TOWER_PRESETS)
+            )
+        builder = getattr(towers, f"{cfg.preset}_tower")
         p = cfg.params.get("p")
         if p is None:
             raise ValueError("tower presets need --p")
         depth = cfg.params.get("depth", 2)
         tower = builder(int(p), int(depth), order_cap=cfg.order_cap)
-    report = tower_degrees(tower, cfg.m, cfg.n)
+    report = towers.tower_degrees(tower, cfg.m, cfg.n)
     if cfg.csv_path:
         rows = [
             (f"{tower.name}:L{k + 1}", order, "bruteforce",
@@ -197,7 +186,11 @@ def cmd_tower(cfg: RunConfig) -> int:
 
 
 def cmd_straight(cfg: RunConfig) -> int:
+    from commdeg.lie import build_lie_preset, straightness_verdict
+
     if cfg.group_file is not None:
+        from commdeg import schemas
+
         preset = schemas.load_certificates(cfg.group_file)
     else:
         preset = build_lie_preset(cfg.preset, cfg.params)
@@ -224,6 +217,8 @@ def cmd_straight(cfg: RunConfig) -> int:
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
+    from commdeg.sampler import estimate_degree_mn, estimate_finite, get_sampler_preset
+
     est = None
     if cfg.preset is not None:
         try:
@@ -251,6 +246,14 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
 
 def cmd_info(cfg: RunConfig) -> int:
+    from commdeg.degrees import degree_bruteforce
+    from commdeg.groups import (
+        center,
+        characteristic_abelian_subgroup,
+        commutator_subgroup,
+        conjugacy_classes,
+    )
+
     G = _load_group(cfg)
     classes = conjugacy_classes(G)
     z = center(G)

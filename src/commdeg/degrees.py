@@ -26,6 +26,7 @@ from commdeg.groups import (
     center_mask,
     coset_minima,
     direct_product,
+    distinct,
     power_map,
     semidirect_product,
 )
@@ -129,7 +130,7 @@ def degree_structural(G: GroupTable) -> DegreeReport:
     for s in range(0, len(reps), height):
         r = reps[s:s + height]
         sizes[s:s + height] = (G.mult[r] == G.mult.take(r, axis=1).T).sum(axis=1)
-    terms = {int(z): Fraction(1, G.order // int(z)) for z in np.unique(sizes)}
+    terms = {int(z): Fraction(1, G.order // int(z)) for z in distinct(sizes)}
     breakdown = tuple((int(g), terms[int(z)]) for g, z in zip(reps, sizes))
     return DegreeReport(
         value=sum((t for _, t in breakdown), Fraction(0)) / len(reps),

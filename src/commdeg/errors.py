@@ -18,6 +18,11 @@ class NonAssociative(CommdegError):
     """Associativity failed on some triple of a candidate table."""
 
 
+# The largest group order any table may have: a 1.6 GB int32 table.
+# groups.require_order enforces it; callers may only lower it.
+DEFAULT_ORDER_CAP = 20000
+
+
 class OrderCapExceeded(CommdegError):
     """A table build would exceed the order cap."""
 

@@ -12,10 +12,15 @@ import bisect
 
 import numpy as np
 
-from commdeg.errors import InvalidAction, NonAssociative, NotLatin, NotNormal, OrderCapExceeded
+from commdeg.errors import (
+    DEFAULT_ORDER_CAP,
+    InvalidAction,
+    NonAssociative,
+    NotLatin,
+    NotNormal,
+    OrderCapExceeded,
+)
 from commdeg.kernels import BLOCK_ENTRIES
-
-DEFAULT_ORDER_CAP = 20000
 
 
 def require_order(n, cap=DEFAULT_ORDER_CAP):
@@ -36,6 +41,18 @@ def _private(arr, dtype=np.int32):
     if out.base is not None or (out is arr and out.flags.writeable):
         out = out.copy()
     return out
+
+
+def distinct(a) -> np.ndarray:
+    """The sorted distinct entries of ``a``, flattened: ``np.unique(a)`` by a
+    sort and a neighbour compare. On int32 index arrays it is several times
+    faster than numpy's hash path, and it does not import ``numpy.ma``,
+    which the first plain ``np.unique`` call does."""
+    ordered = np.sort(a, axis=None)
+    keep = np.empty(ordered.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
 
 
 def _frozen(arr):
@@ -70,7 +87,7 @@ def _right_closure(mult, gens, reached):
     """Grow the mask ``reached`` in place by right multiplication by ``gens``."""
     frontier = np.flatnonzero(reached)
     while frontier.size:
-        step = np.unique(mult[frontier[:, None], gens])
+        step = distinct(mult[frontier[:, None], gens])
         frontier = step[~reached[step]]
         reached[frontier] = True
 
@@ -280,7 +297,7 @@ class Homomorphism:
         return int(self.image[g])
 
     def is_surjective(self) -> bool:
-        return len(np.unique(self.image)) == self.target.order
+        return len(distinct(self.image)) == self.target.order
 
     def kernel(self) -> Subgroup:
         return Subgroup(self.source, np.flatnonzero(self.image == 0))
@@ -308,7 +325,7 @@ def conjugacy_classes(G: GroupTable) -> list[tuple[int, ...]]:
     for x in range(G.order):
         if seen[x]:
             continue
-        orbit = np.unique(G.mult[G.mult[:, x], G.inv])
+        orbit = distinct(G.mult[G.mult[:, x], G.inv])
         seen[orbit] = True
         classes.append(tuple(int(v) for v in orbit))
     return classes
@@ -356,7 +373,7 @@ def subgroup_generated(G: GroupTable, gens) -> Subgroup:
 def commutator_subgroup(G: GroupTable) -> Subgroup:
     """Subgroup generated by all commutators x^-1 y^-1 x y."""
     left = G.mult[np.ix_(G.inv, G.inv)]
-    comms = np.unique(G.mult[left, G.mult])
+    comms = distinct(G.mult[left, G.mult])
     return subgroup_generated(G, comms)
 
 

@@ -165,9 +165,14 @@ class StraightnessVerdict:
 def straightness_verdict(
     p: LiePreset, n: int, tol: float = DEFAULT_TOL
 ) -> StraightnessVerdict:
-    """Scan all certificates for total singularity of the n-th power map."""
+    """Scan all certificates for total singularity of the n-th power map.
+
+    Certificate families repeat spectra (every flip of the dihedral preset
+    has adjoint [-1]), so each distinct spectrum is formatted once.
+    """
     witnesses = []
     notes = []
+    spectrum_text = {}  # eigs.tobytes() -> str(np.round(eigs, 6))
     for cert in p.certificates:
         if cert.declared_order is None:
             notes.append(
@@ -177,9 +182,12 @@ def straightness_verdict(
             continue
         if is_totally_singular(cert, n, tol):
             eigs = adjoint_eigenvalues(cert)
+            key = eigs.tobytes()
+            if key not in spectrum_text:
+                spectrum_text[key] = str(np.round(eigs, 6))
             reason = (
                 f"order {cert.declared_order} divides {n} and spectrum"
-                f" {np.round(eigs, 6)} consists of {n}-th roots of unity != 1"
+                f" {spectrum_text[key]} consists of {n}-th roots of unity != 1"
             )
             witnesses.append((cert, n, reason))
     return StraightnessVerdict(

@@ -26,10 +26,10 @@ NaN in both. A doubling condition "2a = 0 mod 1" is ``t == floor(t)`` for
 t = 2a, which holds exactly when ``t % 1.0 == 0.0`` for every finite t.
 Infinite t would satisfy the first but not the second, and an infinite or
 NaN parameter has no meaning on a compact group, so ``from_params`` refuses
-non-finite parameters (``from_words`` never produces them). A finite t can
-still overflow, as 2(a - a') for two flips with |a - a'| >= 2^1023; there
-the forms differ, but neither answer means anything, since a double that
-large carries no fractional bits of either angle.
+non-finite parameters, and the dihedral ``from_params`` refuses angles
+outside [0, 1) (``from_words`` produces neither). A large finite angle
+would have the answer set by rounding: a double of magnitude 2^52 or more
+carries no fractional bits, and 2(a - a') overflows once |a - a'| >= 2^1023.
 
 A quaternion power x^k starts from x and takes k - 1 Hamilton products.
 Starting from the identity, as 1 * x, gives the same doubles except that a
@@ -44,14 +44,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import sqrt
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from commdeg.degrees import degree_mn
 from commdeg.errors import PresetMismatch, UnknownPreset
-from commdeg.groups import GroupTable, power_map
-from commdeg.presets import quaternion8
 from commdeg.rng import gaussians_from_uniforms, to_uniform, words
+
+if TYPE_CHECKING:
+    from commdeg.groups import GroupTable
 
 _CHUNK = 1 << 16
 
@@ -163,7 +164,8 @@ class TorusPreset:
 
 
 class DihedralPreset:
-    """The circle extended by a sign flip: elements (angle, sign).
+    """The circle extended by a sign flip: elements (angle, sign), with the
+    angle in [0, 1).
 
     (a, 1)(a', 1) always commute; a flip commutes with a rotation only
     under the exact doubling condition 2a' = 0, and two flips only when
@@ -183,11 +185,14 @@ class DihedralPreset:
         return [(float(a), int(s)) for a, s in zip(angles, signs)]
 
     def from_params(self, params_list):
-        angles = np.array([a for a, _ in params_list], dtype=np.float64)
+        angles = _finite(np.array([a for a, _ in params_list], dtype=np.float64),
+                         "dihedral angles")
+        if not ((angles >= 0.0) & (angles < 1.0)).all():
+            raise ValueError("dihedral angles must lie in [0, 1)")
         signs = [s for _, s in params_list]
         if any(s != 1 and s != -1 for s in signs):
             raise ValueError("dihedral signs must be 1 or -1")
-        return _finite(angles, "dihedral angles"), np.array(signs, dtype=np.int8)
+        return angles, np.array(signs, dtype=np.int8)
 
     def power_arrays(self, arrays, k):
         angles, signs = arrays
@@ -296,6 +301,8 @@ class FinitePreset:
 
     def _power_table(self, k):
         if k not in self._pow_cache:
+            from commdeg.groups import power_map
+
             self._pow_cache[k] = power_map(self.group, k)
         return self._pow_cache[k]
 
@@ -317,6 +324,8 @@ class FinitePreset:
         return mult[xa, ya] == mult[ya, xa]
 
     def exact_degree(self, m, n):
+        from commdeg.degrees import degree_mn
+
         return degree_mn(self.group, m, n).value
 
 
@@ -377,6 +386,8 @@ def get_sampler_preset(name: str, dim: int = 1):
     if name == "su2":
         return QuaternionPreset(so3=False)
     if name == "torus-x-quaternion8":
+        from commdeg.presets import quaternion8
+
         return ProductPreset(name, [TorusPreset(1), FinitePreset(quaternion8())])
     raise UnknownPreset(
         f"unknown sampler preset {name!r}; known: dihedral, so3, su2, torus,"

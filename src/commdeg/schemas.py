@@ -12,16 +12,21 @@ Certificates: {"name": "...", "dim": d, "component_count": c,
 
 Adjoint entries are decimal strings so documents stay exact and
 language-neutral.
+
+Each loader imports the modules it builds from when it is called, so a
+certificate document loads ``lie`` alone.
 """
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-from commdeg.actions import FiniteAction
-from commdeg.groups import DEFAULT_ORDER_CAP, Homomorphism
-from commdeg.lie import LieElement, LiePreset
-from commdeg.specs import build_group
-from commdeg.towers import Tower
+from commdeg.errors import DEFAULT_ORDER_CAP
+
+if TYPE_CHECKING:
+    from commdeg.actions import FiniteAction
+    from commdeg.lie import LiePreset
+    from commdeg.towers import Tower
 
 
 def _load(path) -> dict:
@@ -33,6 +38,10 @@ def _load(path) -> dict:
 
 
 def tower_from_doc(doc: dict, order_cap: int = DEFAULT_ORDER_CAP) -> Tower:
+    from commdeg.groups import Homomorphism
+    from commdeg.specs import build_group
+    from commdeg.towers import Tower
+
     levels = tuple(build_group(spec, order_cap) for spec in doc["levels"])
     bonds = tuple(
         Homomorphism(levels[k + 1], levels[k], image)
@@ -46,6 +55,9 @@ def load_tower(path, order_cap: int = DEFAULT_ORDER_CAP) -> Tower:
 
 
 def action_from_doc(doc: dict, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteAction:
+    from commdeg.actions import FiniteAction
+    from commdeg.specs import build_group
+
     group = build_group(doc["group"], order_cap)
     act = doc["act"]
     if "set_size" in doc and doc["set_size"] != len(act[0]):
@@ -58,6 +70,8 @@ def load_action(path, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteAction:
 
 
 def certificates_from_doc(doc: dict) -> LiePreset:
+    from commdeg.lie import LieElement, LiePreset
+
     certs = []
     for entry in doc["certificates"]:
         order = entry.get("order", "unknown")

@@ -189,7 +189,7 @@ def test_exit_code_two_on_crosscheck_mismatch(monkeypatch, capsys):
     def broken(G):
         return DegreeReport(Fraction(1, 2), "structural", G.name, G.order)
 
-    monkeypatch.setattr(cli, "degree_structural", broken)
+    monkeypatch.setattr("commdeg.degrees.degree_structural", broken)
     rc = cli.main(["degree", "--preset", "quaternion8"])
     assert rc == 2
     assert "cross-check" in capsys.readouterr().err
@@ -201,7 +201,7 @@ def test_exit_code_three_on_nonconvergence(monkeypatch, capsys):
     def exploding(preset, n, tol):
         raise NonConvergence("eigensolver wedged")
 
-    monkeypatch.setattr(cli, "straightness_verdict", exploding)
+    monkeypatch.setattr("commdeg.lie.straightness_verdict", exploding)
     rc = cli.main(["straight", "--preset", "so3", "--n", "2"])
     assert rc == 3
     assert "numeric" in capsys.readouterr().err
@@ -216,3 +216,63 @@ def test_order_cap_flag(tmp_path):
 def test_estimate_rejects_tiny_trials():
     out = run_cli("estimate", "--preset", "dihedral", "--trials", "50")
     assert out.returncode == 1
+
+
+# ---------------------------------------------------------------------------
+# a subcommand imports only its own modules
+
+_LOADED = (
+    "import sys\n"
+    "from commdeg.cli import main\n"
+    "assert main(sys.argv[1:]) == 0\n"
+    "print(*sys.modules, file=sys.stderr)\n"
+)
+
+
+def loaded_modules(*args):
+    """Every module a CLI process has loaded at exit (``import commdeg.cli``
+    alone when no arguments are given)."""
+    code = _LOADED if args else "import sys, commdeg.cli; print(*sys.modules, file=sys.stderr)"
+    out = subprocess.run([sys.executable, "-c", code, *args],
+                         capture_output=True, text=True, env=SUBPROCESS_ENV)
+    assert out.returncode == 0, out.stderr
+    return set(out.stderr.split())
+
+
+@pytest.mark.parametrize("args, absent", [
+    ((), {"numpy"}),
+    (("straight", "--preset", "so3", "--n", "3"), {"commdeg.groups", "commdeg.sampler"}),
+    (("estimate", "--preset", "dihedral", "-m", "1", "-n", "1", "--trials", "1000"),
+     {"commdeg.groups", "commdeg.lie"}),
+    (("degree", "--preset", "quaternion8"),
+     {"commdeg.lie", "commdeg.sampler", "commdeg.towers", "numpy.ma"}),
+])
+def test_subcommand_loads_only_its_own_modules(args, absent):
+    loaded = loaded_modules(*args)
+    assert "commdeg.cli" in loaded
+    assert not loaded & absent
+
+
+def test_package_names_resolve_to_their_defining_modules():
+    import importlib
+
+    import commdeg
+
+    for name in commdeg.__all__:
+        home = importlib.import_module(f"commdeg.{commdeg._HOME[name]}")
+        want = home if name == "errors" else getattr(home, name)
+        assert getattr(commdeg, name) is want, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        commdeg.no_such_name  # noqa: B018
+
+
+def test_package_names_are_not_cached(monkeypatch):
+    import commdeg
+    import commdeg.degrees
+
+    original = commdeg.degrees.degree_bruteforce
+    with monkeypatch.context() as m:
+        m.setattr(commdeg.degrees, "degree_bruteforce", lambda G: None)
+        assert commdeg.degree_bruteforce is not original
+    assert commdeg.degree_bruteforce is original
+    assert "degree_bruteforce" not in vars(commdeg)

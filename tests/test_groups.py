@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from commdeg import groups, kernels
 from commdeg.errors import (
@@ -561,3 +563,22 @@ def test_out_of_range_indices_raise_value_error():
 def test_tables_are_frozen(q8):
     with pytest.raises(ValueError):
         q8.mult[0, 0] = 1
+
+
+# ---------------------------------------------------------------------------
+# distinct
+
+
+_INT_DTYPES = st.sampled_from([np.int8, np.int32, np.int64, np.uint16, np.intp])
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(_INT_DTYPES, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                                max_side=40)))
+@example(np.array([], dtype=np.int32))
+@example(np.zeros((0, 3), dtype=np.int64))
+@example(np.array([[3, 1], [1, 3]], dtype=np.int32))
+def test_distinct_equals_np_unique(a):
+    got, want = groups.distinct(a), np.unique(a)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)

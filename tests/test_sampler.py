@@ -304,6 +304,28 @@ def test_dihedral_two_flips_do_not_commute():
     assert not commutes(p, x, y, 1, 1)  # 2(a - a') = 0.8 mod 1 != 0
 
 
+@pytest.mark.parametrize("angle", [2.0**60, 1e308, 1.0, -0.25, -2.0**-1074])
+def test_dihedral_from_params_rejects_angles_outside_the_unit_interval(angle):
+    # unreduced angles would decide commutation by rounding: (0.3, -1)
+    # against (2^60, -1) read True, and (1e308, 1) at n = 2 read False
+    p = get_sampler_preset("dihedral")
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        p.from_params([(0.5, 1), (angle, -1)])
+    with pytest.raises(ValueError):
+        commutes(p, SampledElement("dihedral", (0.3, -1)),
+                 SampledElement("dihedral", (angle, -1)), 1, 1)
+    with pytest.raises(ValueError):
+        commutes(p, SampledElement("dihedral", (angle, 1)),
+                 SampledElement("dihedral", (0.5, 1)), 2, 2)
+
+
+def test_dihedral_from_params_keeps_the_unit_interval_bit_exactly():
+    p = get_sampler_preset("dihedral")
+    edges = [0.0, -0.0, 2.0**-1074, 0.5, 1.0 - 2.0**-53]
+    angles, _ = p.from_params([(a, -1) for a in edges])
+    assert angles.tobytes() == np.array(edges).tobytes()
+
+
 def test_dihedral_exact_doubling_condition_fires_on_dyadics():
     p = get_sampler_preset("dihedral")
     x = SampledElement("dihedral", (0.25, -1))
@@ -407,8 +429,10 @@ def test_dihedral_matches_the_oracles_bit_for_bit_on_edge_angles():
     p = get_sampler_preset("dihedral")
     elems = [(float(a), s) for a in _EDGE_ANGLES for s in (1, -1)]
     pairs = list(itertools.product(elems, repeat=2))
-    xa = p.from_params([x for x, _ in pairs])
-    ya = p.from_params([y for _, y in pairs])
+    # built directly, not by from_params, which refuses angles outside
+    # [0, 1): the predicates must match the oracles on any finite angle
+    xa, ya = ((np.array([e[0] for e in side]), np.array([e[1] for e in side], dtype=np.int8))
+              for side in zip(*pairs))
     fired = 0
     for m, n in itertools.product(range(1, 5), repeat=2):
         xm, yn = p.power_arrays(xa, m), p.power_arrays(ya, n)
