@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from commdeg.degrees import Distribution
-from commdeg.groups import GroupTable, Subgroup, _frozen, _private, check_action, distinct
+from commdeg.groups import GroupTable, Subgroup, _frozen, _private, check_action, orbit_partition
 
 
 class FiniteAction:
@@ -41,16 +41,9 @@ def translation_action(G: GroupTable) -> FiniteAction:
 
 
 def orbits(a: FiniteAction) -> list[tuple[int, ...]]:
-    """Orbit partition of the point set, ordered by least point."""
-    seen = np.zeros(a.set_size, dtype=bool)
-    out = []
-    for x in range(a.set_size):
-        if seen[x]:
-            continue
-        orb = distinct(a.act[:, x])
-        seen[orb] = True
-        out.append(tuple(int(v) for v in orb))
-    return out
+    """Orbit partition of the point set, ordered by least point: the orbits
+    of the rows of ``act`` for the generators of the group."""
+    return orbit_partition(a.set_size, [a.act[g] for g in a.group.generators])
 
 
 def isotropy(a: FiniteAction, x: int) -> Subgroup:
@@ -123,10 +116,7 @@ def finite_orbit_set(a: FiniteAction) -> FiniteOrbitReport:
     Kept for interface symmetry with the tower module, where orbit growth
     across levels is the interesting signal.
     """
-    size_of = {}
-    for orb in orbits(a):
-        for x in orb:
-            size_of[x] = len(orb)
+    size_of = {x: len(orb) for orb in orbits(a) for x in orb}
     pts = tuple(range(a.set_size))
     return FiniteOrbitReport(points=pts, orbit_sizes=tuple(size_of[x] for x in pts))
 

@@ -9,8 +9,9 @@ The routes stay different computations, so that they check each other.
 The pair count runs ``kernels.count_commuting_pairs`` over the whole
 table. The centralizer sum runs ``kernels.centralizer_sizes`` over all
 pairs. The structural route finds the center from the generators alone
-(``groups.center_mask``), takes the least member of each central coset
-and counts a centralizer mask for each of those representatives only.
+(``groups.centralizer_mask`` of ``G.generators``), takes the least member
+of each central coset and counts a centralizer mask for each of those
+representatives only.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from commdeg import kernels
 from commdeg.errors import CrossCheckMismatch
 from commdeg.groups import (
     GroupTable,
-    center_mask,
+    centralizer_mask,
     coset_minima,
     direct_product,
     distinct,
@@ -52,9 +53,6 @@ class Distribution:
 
     def mass(self, members) -> Fraction:
         return sum((self.weights[m] for m in members), Fraction(0))
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, w in enumerate(self.weights) if w > 0)
 
 
 @dataclass(frozen=True)
@@ -111,7 +109,7 @@ def degree_centralizer_sum(G: GroupTable) -> DegreeReport:
 def central_coset_representatives(G: GroupTable) -> np.ndarray:
     """Least-index representatives of the cosets of the center, ascending:
     the x that are the least element of x Z(G)."""
-    least = coset_minima(G, np.flatnonzero(center_mask(G)))
+    least = coset_minima(G, np.flatnonzero(centralizer_mask(G, G.generators)))
     return np.flatnonzero(least == np.arange(G.order))
 
 

@@ -5,6 +5,16 @@ Conventions: elements are dense indices 0..order-1, the identity is pinned
 at index 0, and all member sets are sorted index tuples. Tables are
 C-contiguous int32 numpy arrays frozen after construction, so every
 operation here is a pure function and safe to call concurrently.
+
+Facts that hold for all of G once they hold for a generating set are
+decided on ``GroupTable.generators``, at most log2 |G| elements: the g
+with such a property form a subgroup, and a subgroup holding the
+generators is G. ``_generating_set`` picks generators of any subgroup,
+``centralizer_mask`` finds what commutes with a set and ``orbit_partition``
+the orbits of the permutations that generators induce. Associativity, the
+center, classes, orbits, G', the characteristic abelian subgroup,
+normality and the action and homomorphism laws rest on them. ``Subgroup``
+still checks closure over all member pairs, in tiles.
 """
 from __future__ import annotations
 
@@ -133,17 +143,17 @@ def _respects(source, target, image) -> bool:
     )
 
 
-def _associative_generators(mult) -> tuple[int, ...]:
-    """Prove a table with Latin rows and identity 0 associative by Light's
-    test on a greedy generating set, and return the set. The g that pass
-    the test form a subgroup (the middle nucleus). Each generator is the
-    least element outside the closure of those before it, so at most
-    log2(n) pass and the proof costs O(n^2 log n)."""
+def _generating_set(mult, mask, test=None) -> tuple[int, ...]:
+    """A generating set of the subgroup whose members are ``mask``. Each
+    generator is the least member outside the closure of those before it,
+    so each at least doubles the closure and there are at most log2 of the
+    subgroup's order. ``test(mult, g)`` runs on each one as it is picked."""
     reached = np.arange(len(mult)) == 0
     gens = []
-    while not reached.all():
-        gens.append(int(np.argmin(reached)))
-        _check_light(mult, gens[-1])
+    while (left := mask & ~reached).any():
+        gens.append(int(np.argmax(left)))
+        if test is not None:
+            test(mult, gens[-1])
         _right_closure(mult, gens, reached)
     return tuple(gens)
 
@@ -176,7 +186,8 @@ class GroupTable:
             raise NotLatin("element 0 is not a two-sided identity")
         # Associativity, identity 0 and Latin rows give every element a right
         # inverse, so the table is a group and its columns are permutations.
-        self.generators = _associative_generators(mult)
+        # The g that pass Light's test form a subgroup (the middle nucleus).
+        self.generators = _generating_set(mult, np.ones(n, dtype=bool), _check_light)
         inv = np.empty(n, dtype=np.int32)
         height = _row_height(n)
         for s in range(0, n, height):
@@ -196,10 +207,6 @@ class GroupTable:
 
     def inverse(self, a: int) -> int:
         return int(self.inv[a])
-
-    def conj(self, g: int, x: int) -> int:
-        """g * x * g^-1."""
-        return int(self.mult[self.mult[g, x], self.inv[g]])
 
     def power(self, g: int, n: int) -> int:
         if n < 0:
@@ -235,9 +242,9 @@ class GroupTable:
 
 
 class Subgroup:
-    """A sorted member set of a parent group, validated at construction."""
+    """A sorted member set (and its mask) of a parent group, validated."""
 
-    __slots__ = ("parent", "members")
+    __slots__ = ("parent", "members", "mask")
 
     def __init__(self, parent: GroupTable, members):
         members = tuple(sorted(int(m) for m in set(members)))
@@ -255,6 +262,12 @@ class Subgroup:
         assert parent.order % len(members) == 0, "Lagrange violation"
         self.parent = parent
         self.members = members
+        self.mask = _frozen(memb)
+
+    @property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set of at most log2(order) members."""
+        return _generating_set(self.parent.mult, self.mask)
 
     @property
     def order(self) -> int:
@@ -310,40 +323,57 @@ class Homomorphism:
 # subgroup machinery
 
 
-def centralizer(G: GroupTable, g: int) -> Subgroup:
-    """Z(g, G): all elements commuting with g."""
-    if not 0 <= g < G.order:
-        raise IndexError(f"element index {g} out of range")
-    mask = G.mult[:, g] == G.mult[g, :]
-    return Subgroup(G, np.flatnonzero(mask))
-
-
-def conjugacy_classes(G: GroupTable) -> list[tuple[int, ...]]:
-    """Partition of 0..order-1 into conjugacy classes, ordered by least member."""
-    seen = np.zeros(G.order, dtype=bool)
-    classes = []
-    for x in range(G.order):
-        if seen[x]:
-            continue
-        orbit = distinct(G.mult[G.mult[:, x], G.inv])
-        seen[orbit] = True
-        classes.append(tuple(int(v) for v in orbit))
-    return classes
-
-
-def center_mask(G: GroupTable) -> np.ndarray:
-    """Mask of Z(G): the x that commute with every element of G.generators.
-    The elements x commutes with form a subgroup, so it holds all of G once
-    it holds the generators. Reads one row and one column per generator."""
+def centralizer_mask(G: GroupTable, elements) -> np.ndarray:
+    """Mask of the x in G that commute with every one of ``elements``, one
+    row and one column of the table each. What x commutes with is a
+    subgroup, so for a generating set of S this is the centralizer of S."""
     mask = np.ones(G.order, dtype=bool)
-    for g in G.generators:
+    for g in elements:
         mask &= G.mult[:, g] == G.mult[g]
     return mask
 
 
+def centralizer(G: GroupTable, g: int) -> Subgroup:
+    """Z(g, G): all elements commuting with g."""
+    if not 0 <= g < G.order:
+        raise IndexError(f"element index {g} out of range")
+    return Subgroup(G, np.flatnonzero(centralizer_mask(G, (g,))))
+
+
 def center(G: GroupTable) -> Subgroup:
-    """Z(G), from ``center_mask``."""
-    return Subgroup(G, np.flatnonzero(center_mask(G)))
+    """Z(G): the elements commuting with every generator."""
+    return Subgroup(G, np.flatnonzero(centralizer_mask(G, G.generators)))
+
+
+def orbit_partition(n, perms) -> list[tuple[int, ...]]:
+    """Orbits of the group generated by the permutations ``perms`` of
+    0..n-1, each sorted, ordered by least point. Each round lowers every
+    point's label (at first the point) to its image's label under each
+    permutation, then to its label's label (pointer jumping). Labels only
+    fall, so once a round changes none they are constant on every cycle of
+    every permutation, hence on orbits, and each is its orbit's least point.
+    """
+    least, before = np.arange(n), None
+    while not np.array_equal(least, before):
+        before = least.copy()
+        for p in perms:
+            np.minimum(least, least[p], out=least)
+        least = least[least]
+    points = np.argsort(least, kind="stable")
+    cuts = [*np.flatnonzero(np.diff(least[points], prepend=-1)).tolist(), n]
+    points = points.tolist()
+    return [tuple(points[s:e]) for s, e in zip(cuts, cuts[1:])]
+
+
+def _conjugations(G: GroupTable) -> list[np.ndarray]:
+    """x -> g x g^-1 as one permutation per generator g."""
+    return [G.mult[G.mult[g], G.inv[g]] for g in G.generators]
+
+
+def conjugacy_classes(G: GroupTable) -> list[tuple[int, ...]]:
+    """Partition of 0..order-1 into conjugacy classes, ordered by least
+    member: the orbits of conjugation by the generators."""
+    return orbit_partition(G.order, _conjugations(G))
 
 
 def coset_minima(G: GroupTable, members) -> np.ndarray:
@@ -358,57 +388,46 @@ def coset_minima(G: GroupTable, members) -> np.ndarray:
 
 
 def subgroup_generated(G: GroupTable, gens) -> Subgroup:
-    """Closure of a generator set inside an existing group table; generators
-    already in the closure of those before them are skipped."""
+    """Closure of a generator set inside an existing group table."""
     gens = sorted({int(g) for g in gens})
     _check_range(gens, G.order, "generator index")
-    reached, kept = np.arange(G.order) == 0, []
-    for g in gens:
-        if not reached[g]:
-            kept.append(g)
-            _right_closure(G.mult, kept, reached)
+    reached = np.arange(G.order) == 0
+    _right_closure(G.mult, gens, reached)
     return Subgroup(G, np.flatnonzero(reached))
 
 
 def commutator_subgroup(G: GroupTable) -> Subgroup:
-    """Subgroup generated by all commutators x^-1 y^-1 x y."""
-    left = G.mult[np.ix_(G.inv, G.inv)]
-    comms = distinct(G.mult[left, G.mult])
-    return subgroup_generated(G, comms)
-
-
-def subgroup_centralizer(G: GroupTable, S) -> Subgroup:
-    """Z(S, G): elements commuting with every member of S."""
-    arr = np.asarray(sorted({int(s) for s in S}), dtype=np.int32)
-    mask = (G.mult[:, arr] == G.mult[arr, :].T).all(axis=1)
-    return Subgroup(G, np.flatnonzero(mask))
+    """G', the normal closure of the commutators of generator pairs (G/N is
+    abelian iff the generators' images commute): the orbit of the identity
+    under right multiplication by those commutators and conjugation by the
+    generators. That orbit is closed under conjugation, and x (h c h^-1) =
+    h ((h^-1 x h) c) h^-1, so it is the subgroup the conjugates generate."""
+    gens = np.array(G.generators, dtype=np.intp)
+    a, b = gens[:, None], gens
+    comms = distinct(G.mult[G.mult[G.inv[a], G.inv[b]], G.mult[a, b]])
+    moves = [G.mult[:, c] for c in comms] + _conjugations(G)
+    return Subgroup(G, orbit_partition(G.order, moves)[0])
 
 
 def characteristic_abelian_subgroup(G: GroupTable) -> Subgroup:
-    """Center of the centralizer of the commutator subgroup.
-
-    Always abelian and normal; contains the center of G.
-    """
-    gprime = commutator_subgroup(G)
-    c = subgroup_centralizer(G, gprime.members)
-    carr = np.array(c.members, dtype=np.int32)
-    block = G.mult[np.ix_(carr, carr)]
-    central = (block == block.T).all(axis=1)
-    result = Subgroup(G, carr[central])
+    """Z(C_G(G')), the center of the centralizer of the commutator
+    subgroup: always abelian and normal, and it contains Z(G)."""
+    c = centralizer_mask(G, commutator_subgroup(G).generators)
+    result = Subgroup(G, np.flatnonzero(c & centralizer_mask(G, _generating_set(G.mult, c))))
     assert is_normal(G, result)
-    assert set(center(G).members) <= set(result.members)
-    sub = np.array(result.members, dtype=np.int32)
-    blk = G.mult[np.ix_(sub, sub)]
-    assert np.array_equal(blk, blk.T), "result must be abelian"
+    assert not (centralizer_mask(G, G.generators) & ~result.mask).any()
+    gens = list(result.generators)
+    assert centralizer_mask(G, gens)[gens].all(), "result must be abelian"
     return result
 
 
 def is_normal(G: GroupTable, S: Subgroup) -> bool:
-    arr = np.array(S.members, dtype=np.int32)
-    memb = np.zeros(G.order, dtype=bool)
-    memb[arr] = True
-    conj = G.mult[G.mult[:, arr], G.inv[:, None]]
-    return bool(memb[conj].all())
+    """g h g^-1 lies in S for g in G.generators and h in S.generators. The
+    g with g S g^-1 inside S form a subgroup (the normalizer, in a finite
+    group), so S is normal once the generators of G pass."""
+    g = np.array(G.generators, dtype=np.intp)[:, None]
+    h = np.array(S.generators, dtype=np.intp)
+    return bool(S.mask[G.mult[G.mult[g, h], G.inv[g]]].all())
 
 
 def quotient(G: GroupTable, N: Subgroup) -> tuple[GroupTable, Homomorphism]:

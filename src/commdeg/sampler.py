@@ -31,6 +31,15 @@ outside [0, 1) (``from_words`` produces neither). A large finite angle
 would have the answer set by rounding: a double of magnitude 2^52 or more
 carries no fractional bits, and 2(a - a') overflows once |a - a'| >= 2^1023.
 
+Two flips commute when 2(a - a') = 0 mod 1, which for angles in [0, 1) means
+a == a' or a - a' = +-1/2. The predicate tests ``a - 0.5 == a'`` and
+``a' - 0.5 == a`` rather than rounding a - a': by Sterbenz's lemma a - 0.5
+is exact for a in [0.25, 1], and below 0.25 it is negative and matches no
+angle, so no match is made by rounding. The rounded difference is not
+safe: 0.5 - 2^-60 rounds to 0.5, which would make flips at 0.5 and 2^-60
+commute. Sampled angles are multiples of 2^-33, whose differences are
+exact, so on them the two forms agree.
+
 A quaternion power x^k starts from x and takes k - 1 Hamilton products.
 Starting from the identity, as 1 * x, gives the same doubles except that a
 zero component may change sign, and no predicate can see that: they
@@ -210,7 +219,7 @@ class DihedralPreset:
         both_rot = (sx == 1) & (sy == 1)
         flip_rot = (sx == -1) & (sy == 1) & _integral(2.0 * ay)
         rot_flip = (sx == 1) & (sy == -1) & _integral(2.0 * ax)
-        both_flip = (sx == -1) & (sy == -1) & _integral(2.0 * (ax - ay))
+        both_flip = (sx == -1) & (sy == -1) & ((ax == ay) | (ax - 0.5 == ay) | (ay - 0.5 == ax))
         return both_rot | flip_rot | rot_flip | both_flip
 
     def exact_degree(self, m, n):

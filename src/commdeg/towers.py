@@ -202,18 +202,14 @@ def straightness_fraction(t: Tower, n: int, selector) -> StraightnessReport:
         selector_fn = selector
     subs = [selector_fn(level) for level in t.levels]
     for k, bond in enumerate(t.bonds):
-        lo_members = set(subs[k].members)
-        mapped = {int(bond.image[g]) for g in subs[k + 1].members}
-        if not mapped <= lo_members:
+        if not subs[k].mask[bond.image[list(subs[k + 1].members)]].all():
             raise IncompatibleSelector(
                 f"bond {k} maps the selected subgroup outside its lower-level image"
             )
     fractions = []
     indices = []
     for level, sub in zip(t.levels, subs):
-        memb = np.zeros(level.order, dtype=bool)
-        memb[list(sub.members)] = True
-        count = int(memb[power_map(level, n)].sum())
+        count = int(sub.mask[power_map(level, n)].sum())
         fractions.append(Fraction(count, level.order))
         indices.append(level.order // sub.order)
     growing = all(indices[k] < indices[k + 1] for k in range(len(indices) - 1))
@@ -256,12 +252,8 @@ def fc_class_growth(t: Tower, element_path) -> ClassGrowthReport:
                 f"bond {k} maps element {path[k + 1]} to"
                 f" {int(bond.image[path[k + 1]])}, expected {path[k]}"
             )
-    sizes = []
-    for level, g in zip(t.levels, path):
-        for cls in conjugacy_classes(level):
-            if g in cls:
-                sizes.append(len(cls))
-                break
+    sizes = [next(len(c) for c in conjugacy_classes(level) if g in c)
+             for level, g in zip(t.levels, path)]
     stable = len(sizes) >= 2 and sizes[-1] == sizes[-2]
     return ClassGrowthReport(element_path=path, class_sizes=tuple(sizes), stable=stable)
 

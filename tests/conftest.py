@@ -141,17 +141,46 @@ def oracle_subgroup_closure(table, gens):
     return sorted(members)
 
 
-def oracle_char_abelian(table):
-    """Z(Z(G', G)) straight from its definition, all plain loops."""
+def oracle_commutator_subgroup(table):
+    """G' as the closure of every commutator x^-1 y^-1 x y, plain loops."""
     n = len(table)
     comms = {
         table[table[oracle_inverse(table, x)][oracle_inverse(table, y)]][table[x][y]]
         for x in range(n)
         for y in range(n)
     }
-    gprime = oracle_subgroup_closure(table, comms)
+    return oracle_subgroup_closure(table, comms)
+
+
+def oracle_char_abelian(table):
+    """Z(Z(G', G)) straight from its definition, all plain loops."""
+    n = len(table)
+    gprime = oracle_commutator_subgroup(table)
     zc = [g for g in range(n) if all(table[g][c] == table[c][g] for c in gprime)]
     return [c for c in zc if all(table[c][d] == table[d][c] for d in zc)]
+
+
+def oracle_is_normal(table, members):
+    """g h g^-1 lies in the member set for every g in G and h in it."""
+    inside = set(members)
+    for g in range(len(table)):
+        g_inv = oracle_inverse(table, g)
+        if any(table[table[g][h]][g_inv] not in inside for h in members):
+            return False
+    return True
+
+
+def oracle_orbits(act):
+    """Orbits of an action table, each the set of images of its least
+    point under every group element, ordered by least point."""
+    act = [list(row) for row in act]
+    seen, out = set(), []
+    for x in range(len(act[0])):
+        if x not in seen:
+            orbit = sorted({row[x] for row in act})
+            seen.update(orbit)
+            out.append(tuple(orbit))
+    return out
 
 
 def oracle_q8_table():
@@ -251,6 +280,25 @@ def oracle_dihedral_commute(xa, ya):
     rot_flip = (sx == 1) & (sy == -1) & ((2.0 * ax) % 1.0 == 0.0)
     both_flip = (sx == -1) & (sy == -1) & ((2.0 * (ax - ay)) % 1.0 == 0.0)
     return both_rot | flip_rot | rot_flip | both_flip
+
+
+def oracle_dihedral_commute_exact(xa, ya):
+    """The dihedral predicate in exact rational arithmetic: two flips
+    commute iff 2(a - a') is an integer, a flip and a rotation iff twice
+    the rotation's angle is."""
+    def integral(t):
+        return t.denominator == 1
+
+    out = []
+    for ax, sx, ay, sy in zip(*xa, *ya):
+        a, b = Fraction(float(ax)), Fraction(float(ay))
+        if sx == 1 and sy == 1:
+            out.append(True)
+        elif sx == -1 and sy == -1:
+            out.append(integral(2 * (a - b)))
+        else:
+            out.append(integral(2 * (b if sx == -1 else a)))
+    return np.array(out, dtype=bool)
 
 
 def oracle_quaternion_power(q, k):

@@ -108,6 +108,13 @@ def _all_test_actions():
     return acts
 
 
+def test_orbits_match_a_plain_loop_on_the_action_suite():
+    from conftest import oracle_orbits
+
+    for act in _all_test_actions():
+        assert orbits(act) == oracle_orbits(act.act.tolist()), act
+
+
 def test_fubini_uniform_on_ten_actions():
     for act in _all_test_actions():
         mu = haar(act.group)

@@ -104,6 +104,19 @@ def test_csv_golden_files(tmp_path, golden, args):
     assert target.read_text() == (GOLDEN / golden).read_text()
 
 
+def test_info_csv_golden_on_a_product_spec(tmp_path):
+    spec = {"kind": "preset", "name": "dihedral", "params": {"n": 4}}
+    for _ in range(3):
+        spec = {"kind": "product", "a": spec,
+                "b": {"kind": "preset", "name": "cyclic", "params": {"n": 4}}}
+    path = tmp_path / "d4c4_3.json"
+    save_group_spec(spec, path)
+    target = tmp_path / "out.csv"
+    out = run_cli("info", "--group", str(path), "--csv", str(target))
+    assert out.returncode == 0, out.stderr
+    assert target.read_text() == (GOLDEN / "info_d4c4_3.csv").read_text()
+
+
 def test_group_file_roundtrip(tmp_path):
     spec = {
         "kind": "semidirect",

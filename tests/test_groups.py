@@ -28,6 +28,7 @@ from commdeg.groups import (
     conjugacy_classes,
     direct_product,
     is_normal,
+    orbit_partition,
     power_map,
     quotient,
     semidirect_product,
@@ -41,7 +42,10 @@ from conftest import (
     oracle_centralizer,
     oracle_char_abelian,
     oracle_classes,
+    oracle_commutator_subgroup,
     oracle_is_associative,
+    oracle_is_normal,
+    oracle_normal_subgroups,
     oracle_q8_table,
     oracle_s3_table,
     oracle_subgroup_closure,
@@ -366,6 +370,77 @@ def test_commutator_trivial_iff_singleton_classes_iff_symmetric(corpus):
         trivial = commutator_subgroup(G).order == 1
         singletons = all(len(c) == 1 for c in conjugacy_classes(G))
         assert trivial == singletons == G.is_abelian(), name
+
+
+def test_classes_match_the_oracle_on_the_corpus(corpus):
+    for name, G in corpus.items():
+        assert conjugacy_classes(G) == oracle_classes(G.mult.tolist()), name
+
+
+def test_center_matches_the_oracle_centralizers(corpus):
+    for name, G in corpus.items():
+        table = G.mult.tolist()
+        want = [x for x in range(G.order)
+                if all(x in oracle_centralizer(table, g) for g in range(G.order))]
+        assert list(center(G).members) == want, name
+
+
+def test_commutator_subgroup_matches_the_oracle_on_the_corpus(corpus):
+    for name, G in corpus.items():
+        want = oracle_commutator_subgroup(G.mult.tolist())
+        assert list(commutator_subgroup(G).members) == want, name
+
+
+def test_is_normal_matches_its_definition(corpus):
+    checked = 0
+    for name, G in corpus.items():
+        table = G.mult.tolist()
+        members = set(oracle_normal_subgroups(G) or ())
+        members |= {centralizer(G, g).members for g in range(G.order)}
+        for sub in (Subgroup(G, m) for m in sorted(members)):
+            assert is_normal(G, sub) == oracle_is_normal(table, sub.members), (name, sub)
+            checked += not is_normal(G, sub)
+    assert checked > 0  # some centralizers are not normal
+
+
+def test_subgroup_generators_are_few_and_generate(corpus):
+    for name, G in corpus.items():
+        for sub in (center(G), commutator_subgroup(G), centralizer(G, G.order - 1)):
+            gens = sub.generators
+            assert len(gens) <= math.log2(sub.order), name
+            assert subgroup_generated(G, gens).members == sub.members, name
+
+
+@given(st.integers(0, 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=3))))
+@settings(max_examples=60, deadline=None)
+def test_orbit_partition_matches_a_plain_search(case):
+    n, perms = case
+    seen, want = set(), []
+    for x in range(n):
+        if x in seen:
+            continue
+        orbit, todo = {x}, [x]
+        while todo:
+            y = todo.pop()
+            for p in perms:
+                if p[y] not in orbit:
+                    orbit.add(p[y])
+                    todo.append(p[y])
+        seen |= orbit
+        want.append(tuple(sorted(orbit)))
+    assert orbit_partition(n, [np.array(p, dtype=np.intp) for p in perms]) == want
+
+
+def test_subgroup_machinery_peaks_far_below_the_table_at_order_2048():
+    G = dihedral(4)
+    for _ in range(4):
+        G = direct_product(G, cyclic(4))
+    assert G.order == 2048  # its table is 16 MB
+    z = center(G)
+    for call in (lambda: commutator_subgroup(G), lambda: characteristic_abelian_subgroup(G),
+                 lambda: conjugacy_classes(G), lambda: is_normal(G, z)):
+        assert _traced_peak(call) < 2 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from commdeg.sampler import (
 )
 from conftest import (
     oracle_dihedral_commute,
+    oracle_dihedral_commute_exact,
     oracle_dihedral_power,
     oracle_philox4x32,
     oracle_quaternion_power,
@@ -439,9 +440,30 @@ def test_dihedral_matches_the_oracles_bit_for_bit_on_edge_angles():
         _same_bits(xm, oracle_dihedral_power(xa, m))
         _same_bits(yn, oracle_dihedral_power(ya, n))
         got = p.commute_arrays(xm, yn)
-        assert np.array_equal(got, oracle_dihedral_commute(xm, yn)), (m, n)
-        fired += int((got & ((xm[1] == -1) | (yn[1] == -1))).sum())
+        # the predicate's domain is [0, 1), where the exact answer is the truth
+        inside = (xm[0] >= 0) & (xm[0] < 1) & (yn[0] >= 0) & (yn[0] < 1)
+        want = oracle_dihedral_commute_exact(xm, yn)
+        assert np.array_equal(got[inside], want[inside]), (m, n)
+        fired += int((got & inside & ((xm[1] == -1) | (yn[1] == -1))).sum())
     assert fired > 0  # the doubling conditions were exercised, not just rotations
+
+
+_NEAR_HALVES = (0.0, -0.0, 2.0**-1074, 2.0**-60, 2.0**-33, 0.25 - 2.0**-55, 0.25,
+                0.25 + 2.0**-54, 0.5 - 2.0**-54, 0.5, 0.5 + 2.0**-53, 0.75 - 2.0**-54,
+                0.75, 0.75 + 2.0**-53, 1.0 - 2.0**-53)
+
+
+def test_dihedral_predicate_is_exact_on_angles_near_the_halves():
+    p = get_sampler_preset("dihedral")
+    elems = [(a, s) for a in _NEAR_HALVES for s in (1, -1)]
+    xs, ys = zip(*itertools.product(elems, repeat=2))
+    xa, ya = p.from_params(xs), p.from_params(ys)
+    got = p.commute_arrays(xa, ya)
+    assert np.array_equal(got, oracle_dihedral_commute_exact(xa, ya))
+    assert got.sum() > len(elems) ** 2 // 4  # more than the rotation pairs
+    x = SampledElement("dihedral", (0.5, -1))
+    assert not commutes(p, x, SampledElement("dihedral", (2.0**-60, -1)), 1, 1)
+    assert commutes(p, x, SampledElement("dihedral", (0.0, -1)), 1, 1)
 
 
 def test_quaternion_power_equals_the_identity_start_on_zero_components():
