@@ -10,6 +10,7 @@ import numpy as np
 
 from commdeg.degrees import Distribution
 from commdeg.groups import GroupTable, Subgroup, _frozen, _private, check_action, orbit_partition
+from commdeg.kernels import row_tiles
 
 
 class FiniteAction:
@@ -31,8 +32,11 @@ class FiniteAction:
 
 
 def conjugation_action(G: GroupTable) -> FiniteAction:
-    """G acting on itself by g.x = g x g^-1."""
-    return FiniteAction(G, _frozen(G.mult[G.mult, G.inv[:, None]]))
+    """G acting on itself by g.x = g x g^-1, filled one row tile at a time."""
+    act = np.empty((G.order, G.order), dtype=np.int32)
+    for s, e in row_tiles(G.order, G.order):
+        act[s:e] = G.mult[G.mult[s:e], G.inv[s:e, None]]
+    return FiniteAction(G, _frozen(act))
 
 
 def translation_action(G: GroupTable) -> FiniteAction:

@@ -181,7 +181,8 @@ def cmd_tower(cfg: RunConfig) -> int:
         print(f"  level {k + 1}: order {order:<6} d = {_fmt(d)}  ({_approx(d)})")
     print("  antitone: OK")
     if report.stabilized_value is not None:
-        print(f"  stabilized at {_fmt(report.stabilized_value)} (last 2 levels agree)")
+        print(f"  stabilized at {_fmt(report.stabilized_value)}"
+              f" (last {towers.STABILIZATION_LEVELS} levels agree)")
     return 0
 
 

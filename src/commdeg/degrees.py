@@ -124,10 +124,9 @@ def degree_structural(G: GroupTable) -> DegreeReport:
     """
     reps = central_coset_representatives(G)
     sizes = np.empty(len(reps), dtype=np.int64)
-    height = max(1, kernels.BLOCK_ENTRIES // G.order)
-    for s in range(0, len(reps), height):
-        r = reps[s:s + height]
-        sizes[s:s + height] = (G.mult[r] == G.mult.take(r, axis=1).T).sum(axis=1)
+    for s, e in kernels.row_tiles(len(reps), G.order):
+        r = reps[s:e]
+        sizes[s:e] = (G.mult[r] == G.mult.take(r, axis=1).T).sum(axis=1)
     terms = {int(z): Fraction(1, G.order // int(z)) for z in distinct(sizes)}
     breakdown = tuple((int(g), terms[int(z)]) for g, z in zip(reps, sizes))
     return DegreeReport(
@@ -174,11 +173,10 @@ def degree_mn_pushforward(G: GroupTable, m: int, n: int) -> DegreeReport:
     count the preimages of the m-th and n-th power maps (|G| times their
     pushforwards of Haar measure). Only u in the image of x -> x^m and v in
     the image of y -> y^n carry weight, so the table is read on those two
-    supports alone: bands of whole rows and columns of the smaller support,
-    at most ``kernels.BLOCK_ENTRIES`` entries each (or one row, where a row
-    is longer), restricted to the other support. Weighting powers instead
-    of visiting the n^2 pairs keeps this route independent of the pair
-    count in ``degree_mn``.
+    supports alone: row tiles (``kernels.row_tiles``) of whole rows and
+    columns of the smaller support, restricted to the other support.
+    Weighting powers instead of visiting the n^2 pairs keeps this route
+    independent of the pair count in ``degree_mn``.
     """
     if m < 1 or n < 1:
         raise ValueError("powers must be >= 1")
@@ -188,12 +186,11 @@ def degree_mn_pushforward(G: GroupTable, m: int, n: int) -> DegreeReport:
     wu, wv = cm[us], cn[vs]
     if len(us) > len(vs):  # commuting is symmetric: band over the smaller support
         us, vs, wu, wv = vs, us, wv, wu
-    height = max(1, kernels.BLOCK_ENTRIES // n_ord)
     total = 0
-    for s in range(0, len(us), height):
-        u = us[s:s + height]
+    for s, e in kernels.row_tiles(len(us), n_ord):
+        u = us[s:e]
         same = G.mult[u].take(vs, axis=1) == G.mult.take(u, axis=1)[vs].T
-        total += int(wu[s:s + height] @ (same @ wv))
+        total += int(wu[s:e] @ (same @ wv))
     return DegreeReport(
         value=Fraction(total, n_ord**2),
         method="pushforward",

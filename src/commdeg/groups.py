@@ -13,8 +13,10 @@ generators is G. ``_generating_set`` picks generators of any subgroup,
 ``centralizer_mask`` finds what commutes with a set and ``orbit_partition``
 the orbits of the permutations that generators induce. Associativity, the
 center, classes, orbits, G', the characteristic abelian subgroup,
-normality and the action and homomorphism laws rest on them. ``Subgroup``
-still checks closure over all member pairs, in tiles.
+normality and the action and homomorphism laws rest on them. A table is
+the translation action of its group, so one routine, ``_law_failure``, is
+both Light's test and the action law. ``Subgroup`` still checks closure
+over all member pairs. Row tiles come from ``kernels.row_tiles``.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from commdeg.errors import (
     NotNormal,
     OrderCapExceeded,
 )
-from commdeg.kernels import BLOCK_ENTRIES
+from commdeg.kernels import row_tiles
 
 
 def require_order(n, cap=DEFAULT_ORDER_CAP):
@@ -70,59 +72,60 @@ def _frozen(arr):
     return arr
 
 
-def _row_height(n):
-    """Rows per tile of at most BLOCK_ENTRIES entries, and at least one."""
-    return max(1, BLOCK_ENTRIES // max(1, n))
-
-
 def table_from_rows(n, rows, labels=None, name="G"):
     """Validated group of order ``n`` whose table rows s..e-1 are ``rows(s, e)``.
 
     This is the one place a constructor allocates a table. The order is
-    checked against the cap first. The int32 table is then filled one tile
-    of at most BLOCK_ENTRIES entries (or one row) at a time, so ``rows``
-    needs no n^2 temporary, and frozen, so GroupTable shares it. ``labels``
-    may be a lazy iterable; it is read only once the table is built.
+    checked against the cap first. The int32 table is then filled one row
+    tile at a time, so ``rows`` needs no n^2 temporary, and frozen, so
+    GroupTable shares it. ``labels`` may be a lazy iterable; it is read only
+    once the table is built.
     """
     require_order(n)
     mult = np.empty((n, n), dtype=np.int32)
-    height = _row_height(n)
-    for s in range(0, n, height):
-        e = min(s + height, n)
+    for s, e in row_tiles(n, n):
         mult[s:e] = rows(s, e)
     return GroupTable(_frozen(mult), labels=labels, name=name)
 
 
 def _right_closure(mult, gens, reached):
-    """Grow the mask ``reached`` in place by right multiplication by ``gens``."""
+    """Grow the mask ``reached`` in place by right multiplication by ``gens``,
+    one row tile of the frontier times ``gens`` at a time."""
+    gens = np.asarray(gens, dtype=np.intp)
     frontier = np.flatnonzero(reached)
     while frontier.size:
-        step = distinct(mult[frontier[:, None], gens])
-        frontier = step[~reached[step]]
-        reached[frontier] = True
+        found = []
+        for s, e in row_tiles(len(frontier), len(gens)):
+            step = distinct(mult[frontier[s:e, None], gens])
+            step = step[~reached[step]]
+            reached[step] = True
+            found.append(step)
+        # a long cycle makes many one-tile levels: skip their copy
+        frontier = found[0] if len(found) == 1 else np.concatenate(found)
 
 
-def _check_light(mult, g):
-    """Light's test: (x g) y == x (g y) for every x and y, row tile by row tile."""
-    n = len(mult)
-    xg, gy = mult[:, g], mult[g]
-    height = _row_height(n)
-    for s in range(0, n, height):
-        left = mult[xg[s:s + height]]
-        right = mult[s:s + height, gy]
-        if not np.array_equal(left, right):
-            x, y = np.argwhere(left != right)[0]
-            raise NonAssociative(f"associativity fails at triple ({s + x}, {g}, {y})")
+def _law_failure(mult, act, gens):
+    """The first (x, g, y), g in ``gens`` order and then (x, y) row-major, with
+    act[x g, y] != act[x, act[g, y]], or None. With act = mult this is
+    Light's associativity test, (x g) y == x (g y)."""
+    for g in gens:
+        xg, gy = mult[:, g], act[g]
+        for s, e in row_tiles(len(act), len(gy)):
+            left = act[xg[s:e]]
+            right = act[s:e, gy]
+            if not np.array_equal(left, right):
+                x, y = np.argwhere(left != right)[0]
+                return s + int(x), g, int(y)
+    return None
 
 
 def _rows_are_permutations(table) -> bool:
     """Every row of ``table`` is a permutation of its column indices; rows
-    are sorted one tile of at most BLOCK_ENTRIES entries at a time."""
+    are sorted one row tile at a time."""
     rows, width = table.shape
     idx = np.arange(width, dtype=table.dtype)
-    height = _row_height(width)
-    for s in range(0, rows, height):
-        tile = table[s:s + height]
+    for s, e in row_tiles(rows, width):
+        tile = table[s:e]
         if not np.array_equal(np.sort(tile, axis=1), np.broadcast_to(idx, tile.shape)):
             return False
     return True
@@ -143,17 +146,15 @@ def _respects(source, target, image) -> bool:
     )
 
 
-def _generating_set(mult, mask, test=None) -> tuple[int, ...]:
+def _generating_set(mult, mask) -> tuple[int, ...]:
     """A generating set of the subgroup whose members are ``mask``. Each
     generator is the least member outside the closure of those before it,
     so each at least doubles the closure and there are at most log2 of the
-    subgroup's order. ``test(mult, g)`` runs on each one as it is picked."""
+    subgroup's order, or n.bit_length() on a table that is not a group."""
     reached = np.arange(len(mult)) == 0
     gens = []
-    while (left := mask & ~reached).any():
+    while len(gens) < len(mult).bit_length() and (left := mask & ~reached).any():
         gens.append(int(np.argmax(left)))
-        if test is not None:
-            test(mult, gens[-1])
         _right_closure(mult, gens, reached)
     return tuple(gens)
 
@@ -186,12 +187,14 @@ class GroupTable:
             raise NotLatin("element 0 is not a two-sided identity")
         # Associativity, identity 0 and Latin rows give every element a right
         # inverse, so the table is a group and its columns are permutations.
-        # The g that pass Light's test form a subgroup (the middle nucleus).
-        self.generators = _generating_set(mult, np.ones(n, dtype=bool), _check_light)
+        # The g that pass Light's test form a subgroup (the middle nucleus):
+        # while picks pass, each doubles one, so any failure is among the picks.
+        self.generators = _generating_set(mult, np.ones(n, dtype=bool))
+        if (bad := _law_failure(mult, mult, self.generators)) is not None:
+            raise NonAssociative(f"associativity fails at triple {bad}")
         inv = np.empty(n, dtype=np.int32)
-        height = _row_height(n)
-        for s in range(0, n, height):
-            inv[s:s + height] = np.argmax(mult[s:s + height] == 0, axis=1)
+        for s, e in row_tiles(n, n):
+            inv[s:e] = np.argmax(mult[s:e] == 0, axis=1)
         self.order = n
         self.mult = _frozen(mult)
         self.inv = _frozen(inv)
@@ -255,9 +258,8 @@ class Subgroup:
         memb[list(members)] = True
         arr = np.array(members, dtype=np.int32)
         # closed under products is closed under inverses in a finite group
-        height = _row_height(len(arr))
-        for s in range(0, len(arr), height):
-            if not memb[parent.mult[np.ix_(arr[s:s + height], arr)]].all():
+        for s, e in row_tiles(len(arr), len(arr)):
+            if not memb[parent.mult[np.ix_(arr[s:e], arr)]].all():
                 raise ValueError("member set is not closed under multiplication")
         assert parent.order % len(members) == 0, "Lagrange violation"
         self.parent = parent
@@ -381,9 +383,8 @@ def coset_minima(G: GroupTable, members) -> np.ndarray:
     with these members; computed one row tile of the table at a time."""
     arr = np.asarray(members, dtype=np.intp)
     least = np.empty(G.order, dtype=np.int32)
-    height = _row_height(len(arr))
-    for s in range(0, G.order, height):
-        least[s:s + height] = G.mult[s:s + height].take(arr, axis=1).min(axis=1)
+    for s, e in row_tiles(G.order, len(arr)):
+        least[s:e] = G.mult[s:e].take(arr, axis=1).min(axis=1)
     return least
 
 
@@ -475,9 +476,8 @@ def check_action(G: GroupTable, act) -> np.ndarray:
         raise InvalidAction("some action row is not a permutation of the points")
     if not np.array_equal(act[0], np.arange(act.shape[1])):
         raise InvalidAction("the identity must act trivially")
-    for h in G.generators:
-        if not np.array_equal(act[G.mult[:, h]], act[:, act[h]]):
-            raise InvalidAction(f"action law fails against element {h}")
+    if (bad := _law_failure(G.mult, act, G.generators)) is not None:
+        raise InvalidAction(f"action law fails against element {bad[1]}")
     return act
 
 

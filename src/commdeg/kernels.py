@@ -1,10 +1,10 @@
-"""Counting kernels over Cayley tables.
+"""Counting kernels over Cayley tables, and the library's one tile policy.
 
-Each kernel compares the table against its transpose one tile at a time.
-A tile holds at most ``BLOCK_ENTRIES`` entries (the power-pair count takes
-at least one whole row), so no temporary grows with n^2. The three counts
-stay separate computations because the exact routes in ``degrees`` check
-each other through them.
+``BLOCK_ENTRIES`` is read only here. Every table-sized pass in the library
+walks the row tiles of ``row_tiles``, and two kernels here walk square
+tiles, so no temporary grows with n^2. The three counts stay separate
+computations because the exact routes in ``degrees`` check each other
+through them.
 """
 from math import isqrt
 
@@ -16,6 +16,13 @@ BACKEND = "numpy"
 # Square 256 x 256 tiles keep the transposed reads in cache: at order 2048
 # they count pairs several times faster than bands of whole rows.
 BLOCK_ENTRIES = 1 << 16
+
+
+def row_tiles(count, width, start=0):
+    """(s, e) bounds of the rows start..count-1 of ``width`` entries each, in
+    tiles of at most BLOCK_ENTRIES entries, or one row where a row is longer."""
+    height = max(1, BLOCK_ENTRIES // max(1, width))
+    return ((s, min(s + height, count)) for s in range(start, count, height))
 
 
 def _tile_shape(n):
@@ -50,18 +57,16 @@ def count_commuting_pairs_mn(mult, pm, pn):
 
     The count is unweighted: it visits every one of the n^2 pairs, so it
     checks the pushforward route in ``degrees``, which weights each pair of
-    powers by how often it occurs. A band of rows x gathers the whole rows
-    pm[x] and the whole columns pm[x], then permutes them by pn; the band is
-    at most BLOCK_ENTRIES entries, or one row where a row is longer.
+    powers by how often it occurs. A row tile x gathers the whole rows pm[x]
+    and the whole columns pm[x], then permutes them by pn.
     """
     mult = np.asarray(mult)
     pm = np.asarray(pm)
     pn = np.asarray(pn)
     n = len(mult)
-    height = max(1, BLOCK_ENTRIES // n)
     total = 0
-    for s in range(0, n, height):
-        xs = pm[s:s + height]
+    for s, e in row_tiles(n, n):
+        xs = pm[s:e]
         same = mult[xs].take(pn, axis=1) == mult.take(xs, axis=1)[pn].T
         total += int(np.count_nonzero(same))
     return total

@@ -37,15 +37,26 @@ def _load(path) -> dict:
     return doc
 
 
+def _listed(doc, key, item, what):
+    """doc[key], which a document must give as a list of ``item`` values."""
+    value = doc[key]
+    if not (isinstance(value, list) and all(isinstance(v, item) for v in value)):
+        raise ValueError(f"{what}: {key!r} must be a list of {item.__name__}s")
+    return value
+
+
 def tower_from_doc(doc: dict, order_cap: int = DEFAULT_ORDER_CAP) -> Tower:
     from commdeg.groups import Homomorphism
     from commdeg.specs import build_group
     from commdeg.towers import Tower
 
-    levels = tuple(build_group(spec, order_cap) for spec in doc["levels"])
+    specs, images = _listed(doc, "levels", dict, "tower"), _listed(doc, "bonds", list, "tower")
+    if len(images) != len(specs) - 1:
+        raise ValueError("a tower needs exactly one bond per adjacent level pair")
+    levels = tuple(build_group(spec, order_cap) for spec in specs)
     bonds = tuple(
         Homomorphism(levels[k + 1], levels[k], image)
-        for k, image in enumerate(doc["bonds"])
+        for k, image in enumerate(images)
     )
     return Tower(levels, bonds, name=doc.get("name", "tower"))
 
@@ -73,10 +84,11 @@ def certificates_from_doc(doc: dict) -> LiePreset:
     from commdeg.lie import LieElement, LiePreset
 
     certs = []
-    for entry in doc["certificates"]:
+    for entry in _listed(doc, "certificates", dict, "certificate document"):
         order = entry.get("order", "unknown")
         declared = None if order == "unknown" else int(order)
-        adjoint = [[float(v) for v in row] for row in entry["adjoint"]]
+        rows = _listed(entry, "adjoint", list, "certificate")
+        adjoint = [[float(v) for v in row] for row in rows]
         certs.append(
             LieElement(
                 adjoint,

@@ -34,14 +34,15 @@ from commdeg.groups import (
     DEFAULT_ORDER_CAP,
     GroupTable,
     Subgroup,
-    _row_height,
     direct_product,
     quotient,
     require_order,
     semidirect_product,
     table_from_rows,
 )
+from commdeg.kernels import row_tiles
 from commdeg.presets import build_preset, preset_order
+from commdeg.schemas import _listed
 
 
 def _unsigned(bound):
@@ -71,21 +72,20 @@ def _closure_table(identity, gens, products, order_cap, name, prefix, labels=Non
     elems[0] = identity
     count, queued = 1, 0
     known = _keys(elems[:1])  # the keys of elems[:count], sorted
-    height = _row_height(len(gens))  # a queue tile has BLOCK_ENTRIES products
     while queued < count:
-        stop = min(count, queued + height)
-        cand = products(elems[queued:stop], gens).reshape(-1, d)
-        queued = stop
-        keys = _keys(cand)
-        pos = np.minimum(np.searchsorted(known, keys), len(known) - 1)
-        fresh = np.flatnonzero(known[pos] != keys)
-        new, first = np.unique(keys[fresh], return_index=True)
-        require_order(count + len(new), order_cap)
-        if count + len(new) > len(elems):
-            elems = np.resize(elems, (max(2 * len(elems), count + len(new)), d))
-        elems[count:count + len(new)] = cand[fresh[np.sort(first)]]
-        count += len(new)
-        known = np.insert(known, np.searchsorted(known, new), new)
+        # the queue up to count in row tiles: len(gens) products per element
+        for s, queued in row_tiles(count, len(gens), start=queued):
+            cand = products(elems[s:queued], gens).reshape(-1, d)
+            keys = _keys(cand)
+            pos = np.minimum(np.searchsorted(known, keys), len(known) - 1)
+            fresh = np.flatnonzero(known[pos] != keys)
+            new, first = np.unique(keys[fresh], return_index=True)
+            require_order(count + len(new), order_cap)
+            if count + len(new) > len(elems):
+                elems = np.resize(elems, (max(2 * len(elems), count + len(new)), d))
+            elems[count:count + len(new)] = cand[fresh[np.sort(first)]]
+            count += len(new)
+            known = np.insert(known, np.searchsorted(known, new), new)
 
     elems = elems[:count]
     keys = _keys(elems)
@@ -174,7 +174,7 @@ def build_group(spec: dict, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         raise ValueError("group spec must be a dict with a 'kind' key")
     kind = spec["kind"]
     if kind == "cayley":
-        table = spec["table"]
+        table = _listed(spec, "table", list, "cayley spec")
         require_order(len(table), order_cap)
         return GroupTable(
             table,
@@ -183,12 +183,13 @@ def build_group(spec: dict, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         )
     if kind == "permgen":
         return permutation_closure(
-            int(spec["degree"]), spec["generators"], order_cap=order_cap,
-            name=spec.get("name"),
+            int(spec["degree"]), _listed(spec, "generators", list, "permgen spec"),
+            order_cap=order_cap, name=spec.get("name"),
         )
     if kind == "matmodgen":
         return matrix_mod_closure(
-            int(spec["mod"]), int(spec["dim"]), spec["generators"],
+            int(spec["mod"]), int(spec["dim"]),
+            _listed(spec, "generators", list, "matmodgen spec"),
             order_cap=order_cap, name=spec.get("name"),
         )
     if kind == "preset":
@@ -206,7 +207,7 @@ def build_group(spec: dict, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         return semidirect_product(N, H, spec["action"])
     if kind == "quotient":
         G = build_group(spec["group"], order_cap)
-        return quotient(G, Subgroup(G, spec["normal"]))[0]
+        return quotient(G, Subgroup(G, _listed(spec, "normal", int, "quotient spec")))[0]
     raise ValueError(f"unknown group spec kind {kind!r}")
 
 

@@ -33,6 +33,9 @@ from commdeg.groups import (
 )
 from commdeg.presets import cyclic, elementary, heisenberg_level, require_prime
 
+# A tower has stabilized when this many of its last levels share a degree.
+STABILIZATION_LEVELS = 2
+
 
 @dataclass(frozen=True)
 class Tower:
@@ -131,9 +134,7 @@ def cyclic_tower(
     return Tower(tuple(levels), tuple(bonds), name=f"cyclic(p={p})")
 
 
-def tower_degrees(
-    t: Tower, m: int = 1, n: int = 1, stabilization_window: int = 2
-) -> TowerReport:
+def tower_degrees(t: Tower, m: int = 1, n: int = 1) -> TowerReport:
     """Per-level exact degrees; raises AntitoneViolation if they increase.
 
     Level k is a quotient of level k+1, so the sequence must be
@@ -147,8 +148,7 @@ def tower_degrees(
                 f"degree rose from level {k} to {k + 1}: {degs[k - 1]} -> {degs[k]}"
             )
     stabilized = None
-    w = stabilization_window
-    if len(degs) >= w and len(set(degs[-w:])) == 1:
+    if len(degs) >= STABILIZATION_LEVELS and len(set(degs[-STABILIZATION_LEVELS:])) == 1:
         stabilized = degs[-1]
     return TowerReport(
         degrees=degs,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from commdeg import kernels
 from commdeg.actions import (
     FiniteAction,
     conjugation_action,
@@ -196,6 +197,14 @@ def test_action_law_caught_in_any_row_at_order_1001(row):
         FiniteAction(G, act)
     with pytest.raises(ValueError):
         FiniteAction(G, act)
+
+
+@pytest.mark.parametrize("block", [1, 100, kernels.BLOCK_ENTRIES])
+def test_action_law_rejections_hold_at_every_tile_size(monkeypatch, block):
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", block)
+    test_action_validation_rejects_bad_rows()
+    for row in (1, 2, 500, 1000):
+        test_action_law_caught_in_any_row_at_order_1001(row)
 
 
 def test_measure_validation(q8):

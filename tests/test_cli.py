@@ -170,6 +170,26 @@ def test_exit_code_one_on_out_of_range_index(tmp_path, command, doc):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("tower", {"levels": [_C4, _C4], "bonds": [[0, 1, 2, 3], [0, 1, 2, 3]]}),
+    ("tower", {"levels": _C4, "bonds": []}),
+    ("degree", {"kind": "cayley", "table": 5}),
+    ("degree", {"kind": "permgen", "degree": 3, "generators": 5}),
+    ("degree", {"kind": "permgen", "degree": 3, "generators": [5]}),
+    ("degree", {"kind": "matmodgen", "mod": 3, "dim": 2, "generators": 5}),
+    ("degree", {"kind": "quotient", "group": _C4, "normal": 5}),
+    ("straight", {"dim": 1, "certificates": 5}),
+    ("straight", {"dim": 1, "certificates": [{"label": "r", "adjoint": 5}]}),
+])
+def test_exit_code_one_on_malformed_document(tmp_path, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = run_cli(command, "--group", str(path))
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
+
+
 def test_exit_code_one_on_missing_file():
     out = run_cli("degree", "--group", "/nonexistent/g.json")
     assert out.returncode == 1

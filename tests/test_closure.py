@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from commdeg import groups, kernels, presets, specs
+from commdeg import kernels, presets, specs
 from commdeg.errors import OrderCapExceeded
 
 from conftest import oracle_matrix_closure, oracle_permutation_closure
@@ -64,7 +64,7 @@ def _oracle(key):
 @pytest.mark.parametrize("block", [1, 7, kernels.BLOCK_ENTRIES])
 @pytest.mark.parametrize("key", sorted(_CASES))
 def test_closure_matches_the_scalar_search(monkeypatch, key, block):
-    monkeypatch.setattr(groups, "BLOCK_ENTRIES", block)
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", block)
     build, _, name = _CASES[key]
     G = build()
     table, labels, default_name = _oracle(key)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commdeg import groups, kernels
+from commdeg import kernels
 from commdeg.degrees import (
     DegreeReport,
     Distribution,
@@ -105,7 +105,6 @@ def test_structural_is_representative_independent(q8):
 @pytest.mark.parametrize("block", [1, 100, kernels.BLOCK_ENTRIES])
 def test_structural_breakdown_center_and_abelian_match_the_loops(corpus, monkeypatch, block):
     monkeypatch.setattr(kernels, "BLOCK_ENTRIES", block)
-    monkeypatch.setattr(groups, "BLOCK_ENTRIES", block)
     for name, G in corpus.items():
         table = G.mult.tolist()
         n = G.order

@@ -117,7 +117,7 @@ def _with_repeat_in_row(mult, row):
 
 @pytest.mark.parametrize("block", [1, 100, kernels.BLOCK_ENTRIES])
 def test_latin_rows_checked_in_row_tiles(monkeypatch, block):
-    monkeypatch.setattr(groups, "BLOCK_ENTRIES", block)
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", block)
     C64 = cyclic(64)
     bad_tables = [[[0, 1], [1, 1]]] + [_with_repeat_in_row(C64.mult, r) for r in (1, 40, 63)]
     for bad in bad_tables:
@@ -142,7 +142,7 @@ def _traced_peak(call):
 
 
 def test_validation_peak_stays_below_one_byte_per_entry(monkeypatch):
-    monkeypatch.setattr(groups, "BLOCK_ENTRIES", 1024)
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 1024)
     mult = np.array(dihedral(256).mult)
     mult.flags.writeable = False  # shared, not copied: the peak is validation's
     n = len(mult)
@@ -175,7 +175,7 @@ def test_constructors_leave_the_callers_arrays_writable():
 def test_tables_are_copied_at_most_once(monkeypatch):
     """A writable int32 table is copied once, a table of another dtype is
     converted once, and a frozen table is shared."""
-    monkeypatch.setattr(groups, "BLOCK_ENTRIES", 1024)
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 1024)
     G = dihedral(256)
     n = G.order
     for given in (np.array(G.mult), G.mult.astype(np.int64)):
@@ -187,7 +187,7 @@ def test_tables_are_copied_at_most_once(monkeypatch):
 
 @pytest.mark.parametrize("block", [1, 100, kernels.BLOCK_ENTRIES])
 def test_center_and_is_abelian_in_row_tiles(corpus, monkeypatch, block):
-    monkeypatch.setattr(groups, "BLOCK_ENTRIES", block)
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", block)
     for name, G in corpus.items():
         table = G.mult.tolist()
         n = G.order
@@ -207,7 +207,7 @@ def test_is_abelian_compares_only_the_generators():
 
 
 def test_center_and_is_abelian_peaks_stay_below_one_byte_per_entry(monkeypatch):
-    monkeypatch.setattr(groups, "BLOCK_ENTRIES", 1024)
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 1024)
     G = cyclic(512)
     n = G.order
     for call in (lambda: center(G), G.is_abelian):
@@ -216,7 +216,7 @@ def test_center_and_is_abelian_peaks_stay_below_one_byte_per_entry(monkeypatch):
 
 @pytest.mark.parametrize("block", [1, kernels.BLOCK_ENTRIES])
 def test_inverse_table_in_row_tiles(corpus, monkeypatch, block):
-    monkeypatch.setattr(groups, "BLOCK_ENTRIES", block)
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", block)
     for name, G in corpus.items():
         inv = GroupTable(G.mult).inv
         assert (G.mult[np.arange(G.order), inv] == 0).all(), name
@@ -225,7 +225,7 @@ def test_inverse_table_in_row_tiles(corpus, monkeypatch, block):
 
 @pytest.mark.parametrize("block", [1, 100, kernels.BLOCK_ENTRIES])
 def test_associativity_check_matches_all_triples_oracle(corpus, monkeypatch, block):
-    monkeypatch.setattr(groups, "BLOCK_ENTRIES", block)
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", block)
     tables = [G.mult.tolist() for G in corpus.values() if G.order <= 64]
     swapped = [t for t in map(swap_intercalate, tables) if t is not None]
     assert len(swapped) >= 20
@@ -241,6 +241,18 @@ def test_intercalate_swap_at_order_512_names_a_failing_triple():
     assert not _accepts(swap_intercalate(G.mult.tolist()))
 
 
+def test_a_table_with_closed_prefixes_is_rejected_after_few_picks():
+    """mult[x, y] = x - y for y <= x, else y has Latin rows, identity 0 and
+    every prefix 0..k closed, so each greedy pick adds one element. Picking
+    stops at n.bit_length() generators, and the first one fails."""
+    n = 1000
+    x, y = np.ogrid[:n, :n]
+    table = np.where(y <= x, x - y, y).astype(np.int32)
+    assert groups._generating_set(table, np.ones(n, dtype=bool)) == tuple(range(1, 11))
+    with pytest.raises(NonAssociative, match=r"triple \(2, 1, 1\)$"):
+        GroupTable(table)
+
+
 def test_generators_are_few_and_generate(corpus):
     for name, G in corpus.items():
         assert len(G.generators) <= math.log2(G.order), name
@@ -248,6 +260,18 @@ def test_generators_are_few_and_generate(corpus):
         for gens in ([G.order - 1], [G.order // 2, G.order // 3]):
             expected = oracle_subgroup_closure(G.mult.tolist(), gens)
             assert list(subgroup_generated(G, gens).members) == expected, name
+
+
+@pytest.mark.parametrize("block", [1, 7, kernels.BLOCK_ENTRIES])
+def test_closure_in_frontier_tiles_matches_the_oracle(corpus, monkeypatch, block):
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", block)
+    for name, G in corpus.items():
+        if G.order > 64:
+            continue
+        table = G.mult.tolist()
+        for gens in (range(G.order), G.generators, [G.order - 1], [G.order // 2, G.order // 3]):
+            want = oracle_subgroup_closure(table, gens)
+            assert list(subgroup_generated(G, gens).members) == want, (name, gens)
 
 
 def test_permgen_closure_is_deterministic():

@@ -12,7 +12,13 @@ import pytest
 import commdeg
 from commdeg import cli, groups, kernels, presets, schemas, specs, towers
 from commdeg.actions import FiniteAction, conjugation_action, translation_action
-from commdeg.degrees import degree_bruteforce, degree_mn, degree_of_product
+from commdeg.degrees import (
+    degree_bruteforce,
+    degree_mn,
+    degree_mn_pushforward,
+    degree_of_product,
+    degree_structural,
+)
 from commdeg.errors import OrderCapExceeded
 from commdeg.groups import DEFAULT_ORDER_CAP, direct_product
 from commdeg.specs import build_group
@@ -119,7 +125,7 @@ def _traced_peak(call):
 @pytest.mark.parametrize("block", [1, 100, kernels.BLOCK_ENTRIES])
 @pytest.mark.parametrize("key", sorted(_PINS))
 def test_tables_labels_and_names_are_pinned_at_every_tile_size(monkeypatch, key, block):
-    monkeypatch.setattr(groups, "BLOCK_ENTRIES", block)
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", block)
     G = _BUILDS[key]()
     assert G.mult.dtype == np.int32 and G.mult.flags.c_contiguous
     assert not G.mult.flags.writeable
@@ -178,6 +184,36 @@ def test_builder_peak_is_the_table_plus_one_tile(key):
     table = 4 * out[0].order ** 2
     tile = 4 * 8 * kernels.BLOCK_ENTRIES  # four int64 tiles
     assert peak <= 1.5 * table + tile, (key, peak, table)
+
+
+def test_every_tiled_pass_follows_the_one_tile_size(monkeypatch):
+    """kernels.BLOCK_ENTRIES lowered alone bounds validation, the action law,
+    closure and both tiled degree routes on an order-512 group below n^2
+    bytes, a quarter of the table, and the conjugation action at its table
+    plus one tile's temporaries."""
+    G = presets.dihedral(256)
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 1024)
+    n = G.order
+    conj = conjugation_action(G)
+    assert np.array_equal(conj.act, G.mult[G.mult, G.inv[:, None]])
+    for call in (lambda: groups.GroupTable(G.mult), lambda: groups.check_action(G, conj.act),
+                 lambda: groups.subgroup_generated(G, range(n)),
+                 lambda: degree_structural(G), lambda: degree_mn_pushforward(G, 2, 3)):
+        assert _traced_peak(call) < n * n
+    tile = 4 * 8 * kernels.BLOCK_ENTRIES  # four int64 tiles
+    assert _traced_peak(lambda: conjugation_action(G)) <= 4 * n * n + tile
+
+
+def test_action_and_closure_peaks_at_order_2048():
+    G = _d4c4_4()()
+    n = G.order
+    assert n == 2048  # its table is 16 MB
+    out = []
+    tile = 4 * 8 * kernels.BLOCK_ENTRIES  # four int64 tiles
+    assert _traced_peak(lambda: out.append(conjugation_action(G))) <= 4 * n * n + tile
+    assert _traced_peak(lambda: groups.check_action(G, out[0].act)) < 2**20
+    assert _traced_peak(lambda: out.append(groups.subgroup_generated(G, range(n)))) < 4 * 2**20
+    assert out[1].order == n
 
 
 # ---------------------------------------------------------------------------
