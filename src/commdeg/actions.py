@@ -40,8 +40,12 @@ def conjugation_action(G: GroupTable) -> FiniteAction:
 
 
 def translation_action(G: GroupTable) -> FiniteAction:
-    """The regular action g.x = g x."""
-    return FiniteAction(G, G.mult)
+    """The regular action g.x = g x. Its table is ``G.mult``, which
+    GroupTable has already proved to be a group law, so the action shares
+    it without a second check."""
+    a = FiniteAction.__new__(FiniteAction)
+    a.group, a.set_size, a.act = G, G.order, G.mult
+    return a
 
 
 def orbits(a: FiniteAction) -> list[tuple[int, ...]]:

@@ -16,7 +16,13 @@ as the estimators.
 
 Trial i draws from RNG substream i (see rng.py), so estimates are
 bit-reproducible for a given (preset, m, n, trials, seed) regardless of
-chunking or evaluation order.
+chunking or evaluation order. The estimators use that: each chunk of
+``_CHUNK`` trials is cut into ``_WORKERS`` sub-chunks, and the sub-chunks
+run on a thread pool (numpy releases the GIL inside the ufunc loops,
+gathers and transcendentals that make up Philox, the decoders and the
+predicates). The success counts are integers, and their sum does not
+depend on the order in which sub-chunks finish, so every estimate is the
+same on any number of CPUs.
 
 Angles live in R/Z. Reduction mod 1 is written ``x - floor(x)``, which is
 ``x % 1.0`` bit for bit: for x >= 0 the fractional part is a double and
@@ -49,9 +55,10 @@ for bit.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import sqrt
 from typing import TYPE_CHECKING
 
@@ -64,6 +71,14 @@ if TYPE_CHECKING:
     from commdeg.groups import GroupTable
 
 _CHUNK = 1 << 16
+# Threads for the estimators: the CPUs this process may run on, capped so
+# that a sub-chunk of _CHUNK // _WORKERS trials keeps at least 8192 rows.
+_MIN_ROWS = 1 << 13
+try:
+    _CPUS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity API on this platform
+    _CPUS = os.cpu_count() or 1
+_WORKERS = min(_CPUS, _CHUNK // _MIN_ROWS)
 
 
 def _mod1(x):
@@ -309,6 +324,9 @@ class FinitePreset:
         self._pow_cache: dict[int, np.ndarray] = {}
 
     def _power_table(self, k):
+        # Estimator threads may race to fill the same k. Both compute the
+        # same read-only table, and a dict store is atomic, so the loser's
+        # copy is merely dropped.
         if k not in self._pow_cache:
             from commdeg.groups import power_map
 
@@ -445,14 +463,27 @@ def _commute_mask(p, xa, ya, m, n):
     return p.commute_arrays(p.power_arrays(xa, m), p.power_arrays(ya, n))
 
 
+def _successes(p, m, n, seed, lo, hi):
+    """Successes among trials [lo, hi)."""
+    xa = p.from_words(words(seed, lo, hi, p.words_per_element, tag=0))
+    ya = p.from_words(words(seed, lo, hi, p.words_per_element, tag=1))
+    return int(_commute_mask(p, xa, ya, m, n).sum())
+
+
 def _success_count(p, m, n, trials, seed) -> int:
-    total = 0
-    for lo in range(0, trials, _CHUNK):
-        hi = min(lo + _CHUNK, trials)
-        xa = p.from_words(words(seed, lo, hi, p.words_per_element, tag=0))
-        ya = p.from_words(words(seed, lo, hi, p.words_per_element, tag=1))
-        total += int(_commute_mask(p, xa, ya, m, n).sum())
-    return total
+    """Successes over all trials, one sub-chunk of _CHUNK // _WORKERS
+    trials per task, so at most _CHUNK rows are in flight. ``p`` is a
+    preset object: names are resolved by the caller, so the threads never
+    touch the name cache."""
+    los = range(0, trials, _CHUNK // _WORKERS)
+    his = [*los[1:], trials]
+    count = partial(_successes, p, m, n, seed)
+    if _WORKERS == 1 or len(los) == 1:
+        return sum(map(count, los, his))
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        return sum(pool.map(count, los, his))
 
 
 def estimate_degree_mn(preset, m: int, n: int, trials: int, seed: int) -> Estimate:

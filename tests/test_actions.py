@@ -20,7 +20,7 @@ from commdeg.actions import (
 )
 from commdeg.degrees import Distribution, degree_bruteforce, haar
 from commdeg.errors import InvalidAction
-from commdeg.groups import centralizer
+from commdeg.groups import centralizer, check_action
 from commdeg.presets import cyclic, elementary, quaternion8, symmetric
 
 
@@ -171,6 +171,15 @@ def test_finite_orbit_set_q8(q8):
 def test_finite_orbit_set_regular_translation():
     rep = finite_orbit_set(translation_action(cyclic(5)))
     assert rep.orbit_sizes == (5, 5, 5, 5, 5)
+
+
+def test_translation_action_shares_the_proven_table(corpus):
+    for name, G in corpus.items():
+        a = translation_action(G)
+        assert a.group is G and a.set_size == G.order, name
+        assert np.shares_memory(a.act, G.mult) and not a.act.flags.writeable, name
+        # the check translation_action skips, as an oracle
+        assert np.array_equal(check_action(G, G.mult), a.act), name
 
 
 def test_action_validation_rejects_bad_rows():

@@ -279,6 +279,12 @@ def loaded_modules(*args):
      {"commdeg.groups", "commdeg.lie"}),
     (("degree", "--preset", "quaternion8"),
      {"commdeg.lie", "commdeg.sampler", "commdeg.towers", "numpy.ma"}),
+    # the estimators' thread pool is imported only when it runs
+    ((), {"concurrent.futures"}),
+    (("degree", "--preset", "quaternion8"), {"concurrent.futures"}),
+    # 1000 trials are one sub-chunk
+    (("estimate", "--preset", "dihedral", "-m", "1", "-n", "1", "--trials", "1000"),
+     {"concurrent.futures"}),
 ])
 def test_subcommand_loads_only_its_own_modules(args, absent):
     loaded = loaded_modules(*args)

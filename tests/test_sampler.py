@@ -1,5 +1,7 @@
 """Counter-based RNG and Monte Carlo estimator contracts."""
 import itertools
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 import commdeg.sampler as sampler_mod
 from commdeg import rng
 from commdeg.errors import PresetMismatch, UnknownPreset
+from commdeg.groups import direct_product
 from commdeg.presets import cyclic, quaternion8, symmetric
 from commdeg.rng import gaussians_from_uniforms, philox4x32, to_uniform, words
 from commdeg.sampler import (
@@ -562,7 +565,7 @@ def test_estimate_product_preset_tracks_q8():
     assert abs(est.mean - 0.625) <= 3 * est.stderr
 
 
-@pytest.mark.parametrize("name, m, n, successes", [
+PINNED_COUNTS = [
     ("dihedral", 1, 1, 33092),
     ("dihedral", 2, 3, 98511),
     ("dihedral", 3, 3, 33092),
@@ -573,7 +576,10 @@ def test_estimate_product_preset_tracks_q8():
     ("torus", 2, 3, 131075),
     ("torus-x-quaternion8", 1, 1, 82224),
     ("torus-x-quaternion8", 1, 2, 131075),
-])
+]
+
+
+@pytest.mark.parametrize("name, m, n, successes", PINNED_COUNTS)
 def test_estimate_success_counts_are_pinned(name, m, n, successes):
     # two full chunks and a ragged one
     assert estimate_degree_mn(name, m, n, 131075, 2026).successes == successes
@@ -586,6 +592,89 @@ def test_estimate_reproducible_and_chunk_independent(monkeypatch):
     monkeypatch.setattr(sampler_mod, "_CHUNK", 97)
     chunked = estimate_degree_mn("dihedral", 1, 1, 5000, 13)
     assert chunked.successes == baseline.successes
+
+
+NAMED_PRESETS = ("dihedral", "so3", "su2", "torus", "torus-x-quaternion8")
+
+
+def success_counts(trial_counts):
+    """(case, trials) -> successes for every named preset at (2, 3) and for
+    S4 x C3 at (1, 2). Each finite estimate builds a fresh FinitePreset, so
+    its sub-chunks race to fill the power tables."""
+    s4xc3 = direct_product(symmetric(4), cyclic(3))
+    counts = {}
+    for t in trial_counts:
+        for name in NAMED_PRESETS:
+            counts[name, t] = estimate_degree_mn(name, 2, 3, t, 2026).successes
+        counts["S4xC3", t] = estimate_finite(s4xc3, 1, 2, t, 2026).successes
+    return counts
+
+
+def test_success_counts_do_not_depend_on_the_worker_count(monkeypatch):
+    # one sub-chunk, a few with a ragged end, and two full chunks plus one row
+    trial_counts = (100, 12345, 131075)
+    monkeypatch.setattr(sampler_mod, "_WORKERS", 1)
+    single = success_counts(trial_counts)
+    # more threads than cores, switching often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 3):
+            monkeypatch.setattr(sampler_mod, "_WORKERS", workers)
+            assert success_counts(trial_counts) == single, workers
+    finally:
+        sys.setswitchinterval(interval)
+    # 48-row sub-chunks: hundreds of tasks on two threads
+    monkeypatch.setattr(sampler_mod, "_CHUNK", 97)
+    monkeypatch.setattr(sampler_mod, "_WORKERS", 2)
+    small = success_counts(trial_counts[:2])
+    assert small == {key: v for key, v in single.items() if key in small}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pinned_success_counts_hold_on_every_worker_count(monkeypatch, workers):
+    monkeypatch.setattr(sampler_mod, "_WORKERS", workers)
+    for name, m, n, successes in PINNED_COUNTS:
+        assert estimate_degree_mn(name, m, n, 131075, 2026).successes == successes, name
+
+
+class FailsOnSecondSubChunk(sampler_mod.TorusPreset):
+    """A torus whose predicate raises on the second call it receives."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = itertools.count()
+
+    def commute_arrays(self, xa, ya):
+        if next(self.calls) == 1:
+            raise ArithmeticError("second sub-chunk")
+        return super().commute_arrays(xa, ya)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_failing_sub_chunk_raises_in_the_caller_and_leaves_no_thread(
+        monkeypatch, workers):
+    monkeypatch.setattr(sampler_mod, "_WORKERS", workers)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="second sub-chunk"):
+        estimate_degree_mn(FailsOnSecondSubChunk(), 1, 1, 131075, 2026)
+    assert threading.active_count() == before
+    assert estimate_degree_mn("torus", 1, 1, 131075, 2026).successes == 131075
+    assert threading.active_count() == before
+
+
+def test_one_sub_chunk_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(sampler_mod, "_WORKERS", 2)
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    assert estimate_degree_mn("dihedral", 1, 1, 1 << 15, 3).successes > 0
+    assert started == []
 
 
 def test_sampled_pairs_through_commutes_reproduce_successes():
