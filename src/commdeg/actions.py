@@ -1,14 +1,21 @@
 """Finite group actions: orbits, isotropy, fixed sets, and the two exact
 evaluations of the probability that a random (g, x) pair satisfies g.x = x.
+
+Both read the fixed-point mask ``act[g, x] == x`` a tile at a time and
+reduce it in opposite orders (the discrete Fubini identity): per point x
+to mu(G_x), or per element g to nu(X_g). Each measure enters as integer
+numerators over its least common denominator D, summed in int64 when
+D < 2**63 (the numerators sum to D) and in Python ints otherwise.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
-from commdeg.degrees import Distribution
+from commdeg.degrees import Distribution, _probability_vector
 from commdeg.groups import GroupTable, Subgroup, _frozen, _private, check_action, orbit_partition
 from commdeg.kernels import row_tiles
 
@@ -65,49 +72,38 @@ def fixed_set(a: FiniteAction, g: int) -> tuple[int, ...]:
     """X_g, the points fixed by g."""
     if not 0 <= g < a.group.order:
         raise IndexError(f"group index {g} out of range")
-    pts = np.flatnonzero(a.act[g] == np.arange(a.set_size))
-    return tuple(int(v) for v in pts)
+    return tuple(np.flatnonzero(a.act[g] == np.arange(a.set_size)).tolist())
 
 
-def point_measure(weights) -> tuple[Fraction, ...]:
-    """Validate a rational probability vector on the point set."""
-    ws = tuple(Fraction(w) for w in weights)
-    if any(w < 0 for w in ws):
-        raise ValueError("point weights must be nonnegative")
-    if sum(ws) != 1:
-        raise ValueError("point weights must sum to exactly 1")
-    return ws
+def _numerators(weights, size):
+    """(numerators, D) of a validated measure on ``size`` points, the
+    numerators in int64 when D < 2**63 and in Python ints otherwise."""
+    nums, d = _probability_vector(weights, size)
+    return np.array(nums, dtype=np.int64 if d < 2**63 else object), d
 
 
-def _check_measures(a: FiniteAction, mu: Distribution, nu) -> tuple[Fraction, ...]:
+def _measures(a: FiniteAction, mu: Distribution, nu):
+    """(mu numerators, D_mu, nu numerators, D_nu) of two validated measures."""
     if mu.group is not a.group:
         raise ValueError("mu must be a distribution on the acting group")
-    nu = point_measure(nu)
-    if len(nu) != a.set_size:
-        raise ValueError("nu length must equal the point-set size")
-    return nu
+    return (*_numerators(mu.weights, a.group.order), *_numerators(nu, a.set_size))
 
 
 def equalizer_prob_via_points(a: FiniteAction, mu: Distribution, nu) -> Fraction:
     """P(g.x = x) integrated over points: sum_x nu(x) * mu(G_x)."""
-    nu = _check_measures(a, mu, nu)
-    total = Fraction(0)
-    for x in range(a.set_size):
-        if nu[x] == 0:
-            continue
-        total += nu[x] * mu.mass(isotropy(a, x).members)
-    return total
+    mu_num, d_mu, nu_num, d_nu = _measures(a, mu, nu)
+    stab = np.concatenate([mu_num @ (a.act[:, s:e] == np.arange(s, e))
+                           for s, e in row_tiles(a.set_size, a.group.order)])
+    return Fraction(sum(map(mul, nu_num.tolist(), stab.tolist())), d_mu * d_nu)
 
 
 def equalizer_prob_via_group(a: FiniteAction, mu: Distribution, nu) -> Fraction:
     """Same probability integrated over the group: sum_g mu(g) * nu(X_g)."""
-    nu = _check_measures(a, mu, nu)
-    total = Fraction(0)
-    for g in range(a.group.order):
-        if mu.weights[g] == 0:
-            continue
-        total += mu.weights[g] * sum((nu[x] for x in fixed_set(a, g)), Fraction(0))
-    return total
+    mu_num, d_mu, nu_num, d_nu = _measures(a, mu, nu)
+    points = np.arange(a.set_size)
+    fixed = np.concatenate([(a.act[s:e] == points) @ nu_num
+                            for s, e in row_tiles(a.group.order, a.set_size)])
+    return Fraction(sum(map(mul, mu_num.tolist(), fixed.tolist())), d_mu * d_nu)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ representatives only.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +37,22 @@ from commdeg.presets import cyclic
 Rational = Fraction
 
 
+def _probability_vector(weights, size) -> tuple[list[int], int]:
+    """(numerators, D): ``weights`` over their least common denominator D,
+    checked to be a probability vector on ``size`` points: that many, none
+    negative, numerators summing to D."""
+    ws = [Fraction(w) for w in weights]
+    if len(ws) != size:
+        raise ValueError(f"{len(ws)} weights given for {size} points")
+    d = math.lcm(*(w.denominator for w in ws))
+    nums = [w.numerator * (d // w.denominator) for w in ws]
+    if any(v < 0 for v in nums):
+        raise ValueError("weights must be nonnegative")
+    if sum(nums) != d:
+        raise ValueError("weights must sum to exactly 1")
+    return nums, d
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Probability measure on a finite group with exact rational weights."""
@@ -44,15 +61,7 @@ class Distribution:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if len(self.weights) != self.group.order:
-            raise ValueError("weight vector length must equal the group order")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
-        if sum(self.weights) != 1:
-            raise ValueError("weights must sum to exactly 1")
-
-    def mass(self, members) -> Fraction:
-        return sum((self.weights[m] for m in members), Fraction(0))
+        _probability_vector(self.weights, self.group.order)
 
 
 @dataclass(frozen=True)

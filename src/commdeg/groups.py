@@ -15,12 +15,13 @@ the orbits of the permutations that generators induce. Associativity, the
 center, classes, orbits, G', the characteristic abelian subgroup,
 normality and the action and homomorphism laws rest on them. A table is
 the translation action of its group, so one routine, ``_law_failure``, is
-both Light's test and the action law. ``Subgroup`` still checks closure
-over all member pairs. Row tiles come from ``kernels.row_tiles``.
+both Light's test and the action law. ``Subgroup`` checks closure on its
+own generators: its members lie in the subgroup they generate, and a set
+holding the identity and closed under right multiplication by them holds
+that subgroup, so no pass over member pairs is needed. Row tiles come from
+``kernels.row_tiles``.
 """
 from __future__ import annotations
-
-import bisect
 
 import numpy as np
 
@@ -245,9 +246,9 @@ class GroupTable:
 
 
 class Subgroup:
-    """A sorted member set (and its mask) of a parent group, validated."""
+    """A validated sorted member set of a parent group, its mask and generators."""
 
-    __slots__ = ("parent", "members", "mask")
+    __slots__ = ("parent", "members", "mask", "generators")
 
     def __init__(self, parent: GroupTable, members):
         members = tuple(sorted(int(m) for m in set(members)))
@@ -256,20 +257,14 @@ class Subgroup:
             raise ValueError("subgroup must contain the identity")
         memb = np.zeros(parent.order, dtype=bool)
         memb[list(members)] = True
-        arr = np.array(members, dtype=np.int32)
-        # closed under products is closed under inverses in a finite group
-        for s, e in row_tiles(len(arr), len(arr)):
-            if not memb[parent.mult[np.ix_(arr[s:e], arr)]].all():
-                raise ValueError("member set is not closed under multiplication")
+        gens = _generating_set(parent.mult, memb)  # members lie in <gens>
+        if not memb[parent.mult[np.array(members)[:, None], gens]].all():
+            raise ValueError("member set is not closed under multiplication")
         assert parent.order % len(members) == 0, "Lagrange violation"
         self.parent = parent
         self.members = members
         self.mask = _frozen(memb)
-
-    @property
-    def generators(self) -> tuple[int, ...]:
-        """A generating set of at most log2(order) members."""
-        return _generating_set(self.parent.mult, self.mask)
+        self.generators = gens
 
     @property
     def order(self) -> int:
@@ -280,8 +275,7 @@ class Subgroup:
         return self.parent.order // len(self.members)
 
     def __contains__(self, g: int) -> bool:
-        i = bisect.bisect_left(self.members, g)
-        return i < len(self.members) and self.members[i] == g
+        return 0 <= g < self.parent.order and bool(self.mask[g])
 
     def __len__(self):
         return len(self.members)

@@ -202,7 +202,7 @@ def straightness_fraction(t: Tower, n: int, selector) -> StraightnessReport:
         selector_fn = selector
     subs = [selector_fn(level) for level in t.levels]
     for k, bond in enumerate(t.bonds):
-        if not subs[k].mask[bond.image[list(subs[k + 1].members)]].all():
+        if not subs[k].mask[bond.image[subs[k + 1].mask]].all():
             raise IncompatibleSelector(
                 f"bond {k} maps the selected subgroup outside its lower-level image"
             )

@@ -170,6 +170,43 @@ def oracle_is_normal(table, members):
     return True
 
 
+def oracle_is_closed(table, members) -> bool:
+    """a b lies in the member set for every pair of members."""
+    inside = set(members)
+    return all(table[a][b] in inside for a in members for b in members)
+
+
+def oracle_generating_picks(table, members) -> tuple[int, ...]:
+    """Generators of a subgroup picked one at a time: each is the least
+    member outside the subgroup the picks before it generate."""
+    picks, reached = [], {0}
+    while left := sorted(set(members) - reached):
+        picks.append(left[0])
+        reached = set(oracle_subgroup_closure(table, picks))
+    return tuple(picks)
+
+
+def oracle_equalizer_via_points(act, mu, nu) -> Fraction:
+    """sum_x nu(x) * mu(G_x) as a Fraction loop over the action table's
+    rows as lists, one point at a time."""
+    total = Fraction(0)
+    for x in range(len(act[0])):
+        if nu[x] == 0:
+            continue
+        total += nu[x] * sum((mu[g] for g, row in enumerate(act) if row[x] == x), Fraction(0))
+    return total
+
+
+def oracle_equalizer_via_group(act, mu, nu) -> Fraction:
+    """sum_g mu(g) * nu(X_g) as a Fraction loop, one group element at a time."""
+    total = Fraction(0)
+    for g, row in enumerate(act):
+        if mu[g] == 0:
+            continue
+        total += mu[g] * sum((nu[x] for x, y in enumerate(row) if y == x), Fraction(0))
+    return total
+
+
 def oracle_orbits(act):
     """Orbits of an action table, each the set of images of its least
     point under every group element, ordered by least point."""

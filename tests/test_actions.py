@@ -1,4 +1,6 @@
 """Group actions, isotropy/fixed-set bookkeeping, and the two Fubini sums."""
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -147,6 +149,47 @@ def test_fubini_with_arbitrary_rational_measures(data):
     )
 
 
+# two primes whose product is above 2**63
+_P1, _P2 = 2**32 - 5, 2**32 - 17
+
+
+def _random_measure(rng, size, wide):
+    """A rational probability vector on ``size`` points with about a third
+    of its weights zero. When ``wide``, 1/P1 + 1/P2 of the largest weight
+    moves to another point, so the least common denominator is at least
+    2**63 and the routes sum in Python ints."""
+    raw = [Fraction(rng.randint(1, 9), rng.randint(1, 40)) if rng.random() > 0.3 else 0
+           for _ in range(size)]
+    raw[rng.randrange(size)] = Fraction(1)
+    w = [r / sum(raw) for r in raw]
+    if wide:
+        i = w.index(max(w))
+        j = (i + rng.randrange(1, size)) % size
+        eps = Fraction(1, _P1) + Fraction(1, _P2)
+        w[i], w[j] = w[i] - eps, w[j] + eps
+        assert math.lcm(*(v.denominator for v in w)) >= 2**63
+    return tuple(w)
+
+
+@pytest.mark.parametrize("block", [1, 5, kernels.BLOCK_ENTRIES])
+def test_fubini_routes_equal_the_fraction_loops(monkeypatch, block):
+    from conftest import oracle_equalizer_via_group, oracle_equalizer_via_points
+
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", block)
+    rng = random.Random(block)
+    for act in _all_test_actions():
+        table = act.act.tolist()
+        for wide_mu, wide_nu in ((False, False), (False, False), (True, False),
+                                 (False, True), (True, True)):
+            mu = _random_measure(rng, act.group.order, wide_mu)
+            nu = _random_measure(rng, act.set_size, wide_nu)
+            want = oracle_equalizer_via_points(table, mu, nu)
+            assert oracle_equalizer_via_group(table, mu, nu) == want
+            dist = Distribution(act.group, mu)
+            assert equalizer_prob_via_points(act, dist, nu) == want, act
+            assert equalizer_prob_via_group(act, dist, nu) == want, act
+
+
 def test_conjugation_equalizer_matches_degree(corpus):
     for name in ("Q8", "S3", "A4", "D5", "H2"):
         G = corpus[name]
@@ -223,6 +266,11 @@ def test_measure_validation(q8):
         equalizer_prob_via_points(act, mu, [Fraction(1, 4)] * 3)  # wrong length
     with pytest.raises(ValueError):
         equalizer_prob_via_points(act, haar(cyclic(8)), [Fraction(1, 8)] * 8)
+    for nu in ([Fraction(1, 4)] * 3 + [0] * 5, [Fraction(-1, 8)] + [Fraction(9, 56)] * 7):
+        with pytest.raises(ValueError):  # sum is not 1; a weight is negative
+            equalizer_prob_via_group(act, mu, nu)
+    with pytest.raises(ValueError):
+        Distribution(q8, (Fraction(1, 7),) * 7)
 
 
 def test_action_table_frozen(q8):

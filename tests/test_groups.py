@@ -43,7 +43,9 @@ from conftest import (
     oracle_char_abelian,
     oracle_classes,
     oracle_commutator_subgroup,
+    oracle_generating_picks,
     oracle_is_associative,
+    oracle_is_closed,
     oracle_is_normal,
     oracle_normal_subgroups,
     oracle_q8_table,
@@ -626,6 +628,36 @@ def test_subgroup_rejects_non_closed_set(q8):
     i = q8.labels.index("i")
     with pytest.raises(ValueError):
         Subgroup(q8, (0, i))  # i*i = -1 missing
+
+
+def test_subgroup_closure_check_matches_the_all_pairs_oracle(corpus):
+    verdicts = set()
+    for name, G in corpus.items():
+        table = G.mult.tolist()
+        subs = set(oracle_normal_subgroups(G) or ())
+        subs |= {tuple(oracle_centralizer(table, g)) for g in range(G.order)}
+        for members in sorted(subs):
+            sub = Subgroup(G, members)
+            assert sub.generators == oracle_generating_picks(table, members), (name, members)
+            outside = sorted(set(range(G.order)) - set(members))
+            variants = [set(members) - {m} for m in {*members[1:2], *members[-1:]} - {0}]
+            variants += [set(members) | {x} for x in {*outside[:1], *outside[-1:]}]
+            for v in variants:
+                closed = oracle_is_closed(table, sorted(v))
+                verdicts.add(closed)
+                if closed:
+                    assert Subgroup(G, v).members == tuple(sorted(v)), (name, v)
+                else:
+                    with pytest.raises(ValueError, match="not closed"):
+                        Subgroup(G, v)
+    assert verdicts == {True, False}
+
+
+def test_membership_reads_the_mask_without_wrapping(q8):
+    whole = Subgroup(q8, range(q8.order))
+    assert -1 not in whole and -q8.order not in whole and q8.order not in whole
+    z = center(q8)
+    assert [g for g in range(-9, 17) if g in z] == list(z.members)
 
 
 def test_subgroup_requires_identity(q8):
