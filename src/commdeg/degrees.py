@@ -139,7 +139,7 @@ def degree_structural(G: GroupTable) -> DegreeReport:
     terms = {int(z): Fraction(1, G.order // int(z)) for z in distinct(sizes)}
     breakdown = tuple((int(g), terms[int(z)]) for g, z in zip(reps, sizes))
     return DegreeReport(
-        value=sum((t for _, t in breakdown), Fraction(0)) / len(reps),
+        value=Fraction(int(sizes.sum()), G.order * len(reps)),  # each term is z / |G|
         method="structural",
         group_name=G.name,
         group_order=G.order,

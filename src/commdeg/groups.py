@@ -23,6 +23,8 @@ that subgroup, so no pass over member pairs is needed. Row tiles come from
 """
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from commdeg.errors import (
@@ -74,46 +76,56 @@ def _frozen(arr):
 
 
 def table_from_rows(n, rows, labels=None, name="G"):
-    """Validated group of order ``n`` whose table rows s..e-1 are ``rows(s, e)``.
+    """Validated group of order ``n`` whose table rows s..e-1 are
+    ``rows(s, e, mult)``.
 
     This is the one place a constructor allocates a table. The order is
-    checked against the cap first. The int32 table is then filled one row
-    tile at a time, so ``rows`` needs no n^2 temporary, and frozen, so
-    GroupTable shares it. ``labels`` may be a lazy iterable; it is read only
-    once the table is built.
+    checked against the cap first. The int32 table ``mult`` is then filled
+    one row tile at a time, so ``rows`` needs no n^2 temporary, and frozen,
+    so GroupTable shares it. ``rows`` may read the rows before s from
+    ``mult`` and may write its own rows there and return that slice.
+    ``labels`` may be a lazy iterable; it is read only once the table is
+    built.
     """
     require_order(n)
     mult = np.empty((n, n), dtype=np.int32)
     for s, e in row_tiles(n, n):
-        mult[s:e] = rows(s, e)
+        mult[s:e] = rows(s, e, mult)
     return GroupTable(_frozen(mult), labels=labels, name=name)
 
 
 def _right_closure(mult, gens, reached):
-    """Grow the mask ``reached`` in place by right multiplication by ``gens``,
-    one row tile of the frontier times ``gens`` at a time."""
-    gens = np.asarray(gens, dtype=np.intp)
-    frontier = np.flatnonzero(reached)
-    while frontier.size:
-        found = []
-        for s, e in row_tiles(len(frontier), len(gens)):
-            step = distinct(mult[frontier[s:e, None], gens])
-            step = step[~reached[step]]
-            reached[step] = True
-            found.append(step)
-        # a long cycle makes many one-tile levels: skip their copy
-        frontier = found[0] if len(found) == 1 else np.concatenate(found)
+    """Grow the mask ``reached`` in place to its closure under x -> x g for
+    each g in ``gens``, by pointer doubling on the column f = mult[:, g]:
+    R |= f(R), then f = f[f], until a step adds nothing. After j steps R
+    holds f^i(x) for i < 2^j, so a step that adds nothing means R is closed
+    under f; that takes about log2 of g's order steps where a breadth-first
+    search takes one per power. Passes over ``gens`` repeat until one adds
+    nothing, and stop once every element is reached. Exact for any map f,
+    so on any square table."""
+    grown = True
+    while grown:
+        grown = False
+        for g in gens:
+            f = mult[:, g]
+            while not reached[step := f[reached]].all():  # f(R) is not inside R
+                reached[step] = True
+                grown = True
+                if reached.all():
+                    return
+                f = f[f]
 
 
 def _law_failure(mult, act, gens):
     """The first (x, g, y), g in ``gens`` order and then (x, y) row-major, with
     act[x g, y] != act[x, act[g, y]], or None. With act = mult this is
-    Light's associativity test, (x g) y == x (g y)."""
+    Light's associativity test, (x g) y == x (g y). Both sides are
+    gathered with ``take``, along rows and along columns."""
     for g in gens:
         xg, gy = mult[:, g], act[g]
         for s, e in row_tiles(len(act), len(gy)):
-            left = act[xg[s:e]]
-            right = act[s:e, gy]
+            left = act.take(xg[s:e], axis=0)
+            right = act[s:e].take(gy, axis=1)
             if not np.array_equal(left, right):
                 x, y = np.argwhere(left != right)[0]
                 return s + int(x), g, int(y)
@@ -275,6 +287,7 @@ class Subgroup:
         return self.parent.order // len(self.members)
 
     def __contains__(self, g: int) -> bool:
+        g = operator.index(g)  # a float raises TypeError, a bool is 0 or 1
         return 0 <= g < self.parent.order and bool(self.mask[g])
 
     def __len__(self):
@@ -436,7 +449,7 @@ def quotient(G: GroupTable, N: Subgroup) -> tuple[GroupTable, Homomorphism]:
     coset_of = np.searchsorted(reps, least).astype(np.int32)
     Q = table_from_rows(
         len(reps),
-        lambda s, e: coset_of[G.mult[reps[s:e, None], reps]],
+        lambda s, e, _: coset_of[G.mult[reps[s:e, None], reps]],
         labels=(f"{G.label(int(r))}N" for r in reps),
         name=f"{G.name}/N{N.order}",
     )
@@ -448,7 +461,7 @@ def direct_product(A: GroupTable, B: GroupTable) -> GroupTable:
     nA, nB = A.order, B.order
     n = nA * nB
 
-    def rows(s, e):
+    def rows(s, e, _):
         a, b = divmod(np.arange(s, e), nB)
         return (A.mult[a][:, :, None] * nB + B.mult[b][:, None, :]).reshape(e - s, n)
 
@@ -496,7 +509,7 @@ def semidirect_product(N: GroupTable, H: GroupTable, action) -> GroupTable:
     nN, nH = N.order, H.order
     n = nN * nH
 
-    def rows(s, e):
+    def rows(s, e, _):
         a, h = divmod(np.arange(s, e), nH)
         n_part = N.mult[a[:, None], act[h]]  # [row, a2] = a * phi_h(a2)
         return (n_part[:, :, None] * nH + H.mult[h][:, None, :]).reshape(e - s, n)

@@ -39,7 +39,7 @@ def cyclic(n: int) -> GroupTable:
     if n < 1:
         raise ValueError("cyclic order must be >= 1")
 
-    def rows(s, e):
+    def rows(s, e, _):
         return (np.arange(s, e, dtype=np.int32)[:, None] + np.arange(n, dtype=np.int32)) % n
 
     return table_from_rows(n, rows, labels=(str(i) for i in range(n)), name=f"C{n}")
@@ -59,10 +59,10 @@ def elementary(p: int, k: int) -> GroupTable:
     require_order(n)  # before the digit table is built
     y = np.arange(n, dtype=np.int32)
     if p == 2:
-        def rows(s, e):
+        def rows(s, e, _):
             return np.arange(s, e, dtype=np.int32)[:, None] ^ y
     elif k == 1:
-        def rows(s, e):
+        def rows(s, e, _):
             return (np.arange(s, e, dtype=np.int32)[:, None] + y) % p
     else:
         half = (k + 1) // 2
@@ -73,7 +73,7 @@ def elementary(p: int, k: int) -> GroupTable:
         sums = sum((low[:, None] // p**i + low // p**i) % p * p**i for i in range(half))
         y_high, y_low = np.divmod(y, q)
 
-        def rows(s, e):
+        def rows(s, e, _):
             x_high, x_low = np.divmod(np.arange(s, e, dtype=np.int32)[:, None], q)
             return sums[x_high, y_high] * q + sums[x_low, y_low]
 
@@ -98,7 +98,7 @@ def heisenberg_level(p: int, k: int) -> GroupTable:
         idx = np.arange(s, e, dtype=np.int32)
         return idx // (q * p), (idx // p) % q, idx % p
 
-    def rows(s, e):
+    def rows(s, e, _):
         a, b, z = (c[:, None] for c in coordinates(s, e))
         a2, b2, z2 = coordinates(0, n)
         aa = (a + a2) % q
@@ -154,8 +154,10 @@ def _perm_closure_table(degree: int, gens: list[tuple[int, ...]], name: str) -> 
 
 
 def _degree(kind: str, n: int) -> int:
-    if not 1 <= n <= 6:
-        raise ValueError(f"{kind} preset supports 1 <= n <= 6")
+    """n itself, for 1 <= n <= 8. S8 and A8 are past the order cap, so n = 8
+    raises OrderCapExceeded from the order check or the closure search."""
+    if not 1 <= n <= 8:
+        raise ValueError(f"{kind} preset supports 1 <= n <= 8")
     return n
 
 
@@ -189,7 +191,7 @@ def _elementary_order(params):
     return require_prime(p) ** k
 
 
-_FACTORIALS = (1, 1, 2, 6, 24, 120, 720)
+_FACTORIALS = (1, 1, 2, 6, 24, 120, 720, 5040, 40320)
 
 # name -> (order from the params, builder from the params)
 _PRESETS = {

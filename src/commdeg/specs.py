@@ -23,6 +23,12 @@ search's, so the numbering is the same at any tile size. Elements are
 found by one exact key, the bytes of their row in the smallest unsigned
 dtype that holds the entries, kept sorted and searched with
 ``searchsorted``.
+
+The table is filled from the search's own record. Each element but the
+identity is found as p * g for a queued element p and a generator g, so
+its row is row(p) gathered through row(g): (p g) y = p (g y). Only the
+generators' rows are looked up by key. Parents are queued before their
+children, so every row reads a row filled before it.
 """
 from __future__ import annotations
 
@@ -59,7 +65,8 @@ def _keys(rows):
 
 def _closure_table(identity, gens, products, order_cap, name, prefix, labels=None):
     """Validated group generated by ``gens`` from ``identity``, its elements
-    numbered in breadth-first discovery order (see the module docstring).
+    numbered in breadth-first discovery order and its rows gathered from
+    their parents' rows (see the module docstring).
 
     ``identity`` is a row of an unsigned dtype that holds every entry.
     ``products(X, Y)`` is the (len(X), len(Y), d) array of the products
@@ -67,14 +74,16 @@ def _closure_table(identity, gens, products, order_cap, name, prefix, labels=Non
     intp. Without a ``name`` the group is named ``{prefix}#{order}``.
     ``labels(E)`` gives lazy labels for the element array E.
     """
-    d = identity.size
+    d, k = identity.size, len(gens)
     elems = np.empty((16, d), dtype=identity.dtype)
     elems[0] = identity
+    # element i > 0 is element source[i] // k times generator source[i] % k
+    source = np.zeros(16, dtype=np.intp)
     count, queued = 1, 0
     known = _keys(elems[:1])  # the keys of elems[:count], sorted
     while queued < count:
-        # the queue up to count in row tiles: len(gens) products per element
-        for s, queued in row_tiles(count, len(gens), start=queued):
+        # the queue up to count in row tiles: k products per element
+        for s, queued in row_tiles(count, k, start=queued):
             cand = products(elems[s:queued], gens).reshape(-1, d)
             keys = _keys(cand)
             pos = np.minimum(np.searchsorted(known, keys), len(known) - 1)
@@ -82,20 +91,27 @@ def _closure_table(identity, gens, products, order_cap, name, prefix, labels=Non
             new, first = np.unique(keys[fresh], return_index=True)
             require_order(count + len(new), order_cap)
             if count + len(new) > len(elems):
-                elems = np.resize(elems, (max(2 * len(elems), count + len(new)), d))
-            elems[count:count + len(new)] = cand[fresh[np.sort(first)]]
+                size = max(2 * len(elems), count + len(new))
+                elems, source = np.resize(elems, (size, d)), np.resize(source, size)
+            found = fresh[np.sort(first)]
+            elems[count:count + len(new)] = cand[found]
+            source[count:count + len(new)] = s * k + found
             count += len(new)
             known = np.insert(known, np.searchsorted(known, new), new)
 
     elems = elems[:count]
     keys = _keys(elems)
-    index = np.argsort(keys).astype(np.int32)
-    keys = keys[index]
-    right = elems.astype(np.intp)
+    index = np.argsort(keys)
+    gen_keys = _keys(products(gens.astype(elems.dtype), elems.astype(np.intp)).reshape(-1, d))
+    gen_rows = index[np.searchsorted(keys[index], gen_keys)].reshape(k, count)
+    parent, via = np.divmod(source[:count], max(k, 1))
 
-    def rows(s, e):
-        found = np.searchsorted(keys, _keys(products(elems[s:e], right).reshape(-1, d)))
-        return index[found].reshape(e - s, count)
+    def rows(s, e, mult):
+        if s == 0:
+            mult[0] = np.arange(count)
+        for c in range(max(s, 1), e):
+            mult[c] = mult[parent[c]].take(gen_rows[via[c]])
+        return mult[s:e]
 
     return table_from_rows(count, rows, labels=None if labels is None else labels(elems),
                            name=name or f"{prefix}#{count}")

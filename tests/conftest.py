@@ -125,10 +125,12 @@ def oracle_classes(table):
     return classes
 
 
-def oracle_subgroup_closure(table, gens):
-    members = {0}
-    frontier = [0]
-    gens = set(gens) | {oracle_inverse(table, g) for g in gens}
+def oracle_right_closure(table, gens, start=(0,)):
+    """The least set holding ``start`` and holding x g for each of its x and
+    each g in ``gens``: a breadth-first search on the table as lists, one
+    element at a time."""
+    members = set(start)
+    frontier = list(start)
     while frontier:
         nxt = []
         for x in frontier:
@@ -139,6 +141,13 @@ def oracle_subgroup_closure(table, gens):
                     nxt.append(y)
         frontier = nxt
     return sorted(members)
+
+
+def oracle_subgroup_closure(table, gens):
+    """The subgroup the elements generate: the right closure of the
+    identity under them and their inverses."""
+    inverses = {oracle_inverse(table, g) for g in gens}
+    return oracle_right_closure(table, set(gens) | inverses)
 
 
 def oracle_commutator_subgroup(table):
@@ -358,11 +367,10 @@ def oracle_quaternion_power(q, k):
     return acc
 
 
-def oracle_closure(identity, gens, compose):
+def oracle_closure_elements(identity, gens, compose):
     """Scalar breadth-first closure: take one element off the queue at a
     time, apply the generators in input order, number each product not
-    seen before. Returns the elements in that order and the table as lists.
-    """
+    seen before. Returns the elements in that order."""
     elems = [identity]
     index = {identity: 0}
     qi = 0
@@ -374,18 +382,26 @@ def oracle_closure(identity, gens, compose):
             if y not in index:
                 index[y] = len(elems)
                 elems.append(y)
+    return elems
+
+
+def oracle_closure(identity, gens, compose):
+    """The elements of ``oracle_closure_elements`` and the table as lists."""
+    elems = oracle_closure_elements(identity, gens, compose)
+    index = {e: i for i, e in enumerate(elems)}
     return elems, [[index[compose(x, y)] for y in elems] for x in elems]
+
+
+def compose_permutations(p, q):
+    """(p * q)(i) = p(q(i)) on image tuples."""
+    return tuple(p[i] for i in q)
 
 
 def oracle_permutation_closure(degree, generators):
     """(table, labels, default name) of the group the permutations generate,
     composed as (p * q)(i) = p(q(i))."""
-
-    def compose(p, q):
-        return tuple(p[q[i]] for i in range(degree))
-
     gens = [tuple(int(v) for v in g) for g in generators]
-    elems, table = oracle_closure(tuple(range(degree)), gens, compose)
+    elems, table = oracle_closure(tuple(range(degree)), gens, compose_permutations)
     return table, tuple(str(e) for e in elems), f"perm{degree}#{len(elems)}"
 
 

@@ -1,7 +1,10 @@
 """Generator closures: the level-synchronous search in ``specs`` numbers the
 elements as the scalar breadth-first search in ``conftest`` does, at every
-queue tile size, and stops at the order cap before it passes it."""
+queue tile size, gathers each row from its parent's row, and stops at the
+order cap before it passes it."""
 import functools
+import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +13,12 @@ import pytest
 from commdeg import kernels, presets, specs
 from commdeg.errors import OrderCapExceeded
 
-from conftest import oracle_matrix_closure, oracle_permutation_closure
+from conftest import (
+    compose_permutations,
+    oracle_closure_elements,
+    oracle_matrix_closure,
+    oracle_permutation_closure,
+)
 
 
 def _symmetric_gens(n):
@@ -32,6 +40,8 @@ _GL25 = [[2, 0, 0, 1], [1, 1, 0, 1], [0, 4, 1, 0]]
 _HEISENBERG3 = [[1, 1, 0, 0, 1, 0, 0, 0, 1], [1, 0, 0, 0, 1, 1, 0, 0, 1]]
 # entries up to 256 need two-byte keys; 16 has order 4 mod 257
 _MOD257 = [[256, 0, 0, 1], [0, 1, 1, 0], [16, 0, 0, 16]]
+# a long cycle and its inverse: 151 elements in 76 breadth-first levels
+_CYCLE151 = [list(range(1, 151)) + [0], [150] + list(range(150))]
 
 # name -> (build, oracle arguments, expected name)
 _CASES = {
@@ -50,6 +60,9 @@ _CASES = {
                          ("mat", 3, 3, _HEISENBERG3), None),
     "mod 257": (lambda: specs.matrix_mod_closure(257, 2, _MOD257),
                 ("mat", 257, 2, _MOD257), None),
+    "151-cycle": (lambda: specs.build_group({"kind": "permgen", "degree": 151,
+                                             "generators": _CYCLE151}),
+                  ("perm", 151, _CYCLE151), None),
 }
 
 
@@ -99,6 +112,34 @@ def test_runaway_closure_raises_before_passing_the_cap(monkeypatch):
 def test_closure_past_the_default_cap_raises():
     with pytest.raises(OrderCapExceeded, match="cap"):
         specs.permutation_closure(8, _symmetric_gens(8))  # |S8| = 40320
+
+
+@pytest.mark.parametrize("build, gens", [(presets.symmetric, _symmetric_gens(7)),
+                                         (presets.alternating, _alternating_gens(7))])
+def test_degree_7_presets_match_the_scalar_search(build, gens):
+    """The scalar oracle's table would be n^2 Python ints at order 5040, so
+    the labels are checked against its element order and sampled rows
+    against composition."""
+    G = build(7)
+    elems = oracle_closure_elements(tuple(range(7)), [tuple(g) for g in gens],
+                                    compose_permutations)
+    assert G.labels == tuple(str(e) for e in elems)
+    index = {e: i for i, e in enumerate(elems)}
+    for x in [0, 1, G.order - 1, *random.Random(7).sample(range(G.order), 12)]:
+        assert G.mult[x].tolist() == [index[compose_permutations(elems[x], y)]
+                                      for y in elems], x
+
+
+@pytest.mark.parametrize("build, order", [(presets.symmetric, 40320),
+                                          (presets.alternating, 20160)])
+def test_degree_8_presets_raise_before_the_search_finishes(build, order):
+    with pytest.raises(OrderCapExceeded, match="cap 20000") as info:
+        build(8)
+    assert int(re.search(r"order (\d+)", str(info.value)).group(1)) < order
+    name = build.__name__
+    spec = {"kind": "preset", "name": name, "params": {"n": 8}}
+    with pytest.raises(OrderCapExceeded, match=f"order {order} "):
+        specs.build_group(spec)  # from the params, before any search
 
 
 def test_closure_rejects_empty_degrees_and_huge_moduli():

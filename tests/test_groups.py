@@ -49,6 +49,7 @@ from conftest import (
     oracle_is_normal,
     oracle_normal_subgroups,
     oracle_q8_table,
+    oracle_right_closure,
     oracle_s3_table,
     oracle_subgroup_closure,
     swap_intercalate,
@@ -274,6 +275,58 @@ def test_closure_in_frontier_tiles_matches_the_oracle(corpus, monkeypatch, block
         for gens in (range(G.order), G.generators, [G.order - 1], [G.order // 2, G.order // 3]):
             want = oracle_subgroup_closure(table, gens)
             assert list(subgroup_generated(G, gens).members) == want, (name, gens)
+
+
+def _closure(table, gens, start=(0,)):
+    reached = np.zeros(len(table), dtype=bool)
+    reached[list(start)] = True
+    groups._right_closure(np.asarray(table, dtype=np.int32), gens, reached)
+    return np.flatnonzero(reached).tolist()
+
+
+def _closure_cases(n):
+    return ([n - 1], [n // 2, n // 3], [n - 1, 1 % n, n // 2], range(n))
+
+
+def test_right_closure_matches_the_breadth_first_oracle(corpus):
+    """On group tables and on intercalate-swapped ones (Latin rows, not
+    groups, so a column need not be a permutation), from the identity and
+    from two points."""
+    tables = [G.mult.tolist() for G in corpus.values() if G.order <= 64]
+    swapped = [t for t in map(swap_intercalate, tables) if t is not None]
+    assert len(swapped) >= 20
+    for table in tables + swapped:
+        n = len(table)
+        for gens in _closure_cases(n):
+            for start in ((0,), (0, n - 1)):
+                want = oracle_right_closure(table, gens, start)
+                assert _closure(table, gens, start) == want, (n, list(gens), start)
+
+
+def test_right_closure_on_the_closed_prefix_table():
+    n = 1000
+    x, y = np.ogrid[:n, :n]
+    table = np.where(y <= x, x - y, y).astype(np.int32)
+    rows = table.tolist()
+    for gens in (*_closure_cases(n), range(1, 11), [999, 500], [7]):
+        for start in ((0,), (0, 600)):
+            assert _closure(table, gens, start) == oracle_right_closure(rows, gens, start)
+
+
+def test_a_151_cycle_closes_in_log_rounds():
+    """Each doubling step reads the mask once, to test whether f(R) lies in
+    R; a breadth-first search would take 150 levels."""
+    reads = []
+
+    class CountedMask(np.ndarray):
+        def __getitem__(self, key):
+            reads.append(key)
+            return np.asarray(self)[key]
+
+    reached = (np.arange(151) == 0).view(CountedMask)
+    groups._right_closure(cyclic(151).mult, [1], reached)
+    assert np.asarray(reached).all()
+    assert 0 < len(reads) <= 2 * math.ceil(math.log2(151))
 
 
 def test_permgen_closure_is_deterministic():
@@ -658,6 +711,14 @@ def test_membership_reads_the_mask_without_wrapping(q8):
     assert -1 not in whole and -q8.order not in whole and q8.order not in whole
     z = center(q8)
     assert [g for g in range(-9, 17) if g in z] == list(z.members)
+
+
+def test_membership_takes_integers_only():
+    S = Subgroup(cyclic(4), [0, 2])
+    with pytest.raises(TypeError):
+        2.0 in S
+    assert (True in S, False in S) == (False, True)  # bools are 1 and 0
+    assert np.int64(2) in S and np.int32(0) in S and np.uint8(1) not in S
 
 
 def test_subgroup_requires_identity(q8):

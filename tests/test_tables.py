@@ -65,6 +65,8 @@ _BUILDS = {
     "matmodgen-GL23": lambda: build_group({"kind": "matmodgen", "mod": 3, "dim": 2,
                                            "generators": [[2, 0, 0, 1], [1, 1, 0, 1],
                                                           [0, 2, 1, 0]]}),
+    "symmetric(7)": lambda: presets.symmetric(7),
+    "alternating(7)": lambda: presets.alternating(7),
 }
 
 # (sha256 of mult.tobytes(), sha256 of the NUL-joined labels, name), each
@@ -91,6 +93,9 @@ _PINS = {
     "quotient": ("390904177f3f0cd4", "a85ea277497bd5ca", "D4xC4xC4xC4/N4"),
     "permgen-S5": ("5e00940fc0f83fe8", "608067d2c5384c1f", "perm5#120"),
     "matmodgen-GL23": ("72d7c83e12d72eab", None, "mat2mod3#48"),
+    # recorded from the closure fill that looked up all n^2 products by key
+    "symmetric(7)": ("801c88913a6aafb9", "77c6aced052677c3", "S7"),
+    "alternating(7)": ("d18e21ed18d4461e", "fb3dd0ece676d92d", "A7"),
 }
 
 # sha256 of act.tobytes() for the conjugation and translation actions
@@ -152,7 +157,7 @@ def test_action_copies_a_writable_array_and_leaves_it_writable():
 
 
 def test_table_from_rows_shares_the_table_it_fills():
-    G = groups.table_from_rows(6, lambda s, e: (np.arange(s, e)[:, None] + np.arange(6)) % 6)
+    G = groups.table_from_rows(6, lambda s, e, _: (np.arange(s, e)[:, None] + np.arange(6)) % 6)
     assert np.array_equal(G.mult, presets.cyclic(6).mult)
     assert G.mult.base is None and not G.mult.flags.writeable
 
@@ -279,8 +284,8 @@ def test_cli_order_cap_refuses_a_preset_before_building_it(capsys):
 _PRESET_PARAMS = [
     ("trivial", {}), ("cyclic", {"n": 7}), ("klein4", {}), ("quaternion8", {}),
     ("dihedral", {"n": 5}), ("s3", {}), ("s4", {}), ("a4", {}),
-    *[("symmetric", {"n": n}) for n in range(1, 7)],
-    *[("alternating", {"n": n}) for n in range(1, 7)],
+    *[("symmetric", {"n": n}) for n in range(1, 8)],
+    *[("alternating", {"n": n}) for n in range(1, 8)],
     ("elementary", {"p": 3, "k": 2}), ("elementary", {"p": 2, "n": 3}),
     ("elementary", {"p": 5}), ("heisenberg-mod", {"p": 3}),
 ]
