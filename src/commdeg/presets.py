@@ -12,7 +12,6 @@ from commdeg.groups import (
     GroupTable,
     direct_product,
     require_order,
-    semidirect_product,
     table_from_rows,
     trivial_group,
 )
@@ -131,14 +130,18 @@ def quaternion8() -> GroupTable:
 
 
 def dihedral(n: int) -> GroupTable:
-    """Dihedral group of order 2n as C_n x| C_2 with the inversion action."""
-    require_order(2 * n)  # before C_n is built
-    cn = cyclic(n)
-    c2 = cyclic(2)
-    invert = [list(range(n)), [(-i) % n for i in range(n)]]
-    G = semidirect_product(cn, c2, invert)
-    G.name = f"D{n}"
-    return G
+    """Dihedral group of order 2n, C_n x| C_2 with the inversion action:
+    element 2a + h is (a, h), and (a, h)(a', h') = (a + (-1)^h a', h + h')."""
+    if n < 1:
+        raise ValueError("dihedral n must be >= 1")
+    require_order(2 * n)  # before any array of size n
+    a2, h2 = divmod(np.arange(2 * n, dtype=np.int32), 2)
+
+    def rows(s, e, _):
+        a, h = divmod(np.arange(s, e, dtype=np.int32)[:, None], 2)
+        return 2 * ((a + (1 - 2 * h) * a2) % n) + (h ^ h2)
+
+    return table_from_rows(2 * n, rows, name=f"D{n}")
 
 
 def klein4() -> GroupTable:

@@ -70,10 +70,10 @@ def action_from_doc(doc: dict, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteActi
     from commdeg.specs import build_group
 
     group = build_group(doc["group"], order_cap)
-    act = doc["act"]
-    if "set_size" in doc and doc["set_size"] != len(act[0]):
+    action = FiniteAction(group, _listed(doc, "act", list, "action"))
+    if "set_size" in doc and doc["set_size"] != action.set_size:
         raise ValueError("set_size does not match the action table width")
-    return FiniteAction(group, act)
+    return action
 
 
 def load_action(path, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteAction:

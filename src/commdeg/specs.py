@@ -14,15 +14,12 @@ Elaboration is deterministic, so identical specs give bit-identical
 tables. A generator closure numbers its elements as a scalar breadth-first
 search does: from the identity, taking one element off the queue at a
 time, applying the generators in input order and numbering each product
-not seen before. Here the search is level-synchronous on an (n, d) array
-of elements. It takes a tile of the queue, forms every product of a tile
-element and a generator, and numbers the new ones by first occurrence in
-(queue position, generator) order. A product's number depends only on the
-elements queued before it and on that order, which are the scalar
-search's, so the numbering is the same at any tile size. Elements are
-found by one exact key, the bytes of their row in the smallest unsigned
-dtype that holds the entries, kept sorted and searched with
-``searchsorted``.
+not seen before. Here the products of a tile of the queue and every
+generator are formed at once on an (n, d) array of elements, then scanned
+in (queue position, generator) order against one dict from the bytes of
+an element's row to its number. A product not in the dict gets the next
+number: the scalar search's rule, applied in the scalar search's order,
+so the numbering is the same at any tile size.
 
 The table is filled from the search's own record. Each element but the
 identity is found as p * g for a queued element p and a generator g, so
@@ -57,16 +54,17 @@ def _unsigned(bound):
                 if bound - 1 <= np.iinfo(dtype).max)
 
 
-def _keys(rows):
-    """One exact key per row of a 2-D array: the row's bytes as np.void."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+def _row_bytes(X):
+    """The bytes of each row of the 2-D array ``X``, in row order."""
+    data, width = X.tobytes(), X.itemsize * X.shape[1]
+    return (data[i:i + width] for i in range(0, len(data), width))
 
 
 def _closure_table(identity, gens, products, order_cap, name, prefix, labels=None):
     """Validated group generated by ``gens`` from ``identity``, its elements
     numbered in breadth-first discovery order and its rows gathered from
-    their parents' rows (see the module docstring).
+    their parents' rows (see the module docstring: one dict from element
+    bytes to number gives the scalar search's numbering).
 
     ``identity`` is a row of an unsigned dtype that holds every entry.
     ``products(X, Y)`` is the (len(X), len(Y), d) array of the products
@@ -79,31 +77,29 @@ def _closure_table(identity, gens, products, order_cap, name, prefix, labels=Non
     elems[0] = identity
     # element i > 0 is element source[i] // k times generator source[i] % k
     source = np.zeros(16, dtype=np.intp)
+    number = {identity.tobytes(): 0}
     count, queued = 1, 0
-    known = _keys(elems[:1])  # the keys of elems[:count], sorted
     while queued < count:
         # the queue up to count in row tiles: k products per element
         for s, queued in row_tiles(count, k, start=queued):
             cand = products(elems[s:queued], gens).reshape(-1, d)
-            keys = _keys(cand)
-            pos = np.minimum(np.searchsorted(known, keys), len(known) - 1)
-            fresh = np.flatnonzero(known[pos] != keys)
-            new, first = np.unique(keys[fresh], return_index=True)
+            new = []
+            for i, key in enumerate(_row_bytes(cand)):
+                if key not in number:
+                    number[key] = count + len(new)
+                    new.append(i)
+            new = np.array(new, dtype=np.intp)
             require_order(count + len(new), order_cap)
             if count + len(new) > len(elems):
                 size = max(2 * len(elems), count + len(new))
                 elems, source = np.resize(elems, (size, d)), np.resize(source, size)
-            found = fresh[np.sort(first)]
-            elems[count:count + len(new)] = cand[found]
-            source[count:count + len(new)] = s * k + found
+            elems[count:count + len(new)] = cand[new]
+            source[count:count + len(new)] = s * k + new
             count += len(new)
-            known = np.insert(known, np.searchsorted(known, new), new)
 
     elems = elems[:count]
-    keys = _keys(elems)
-    index = np.argsort(keys)
-    gen_keys = _keys(products(gens.astype(elems.dtype), elems.astype(np.intp)).reshape(-1, d))
-    gen_rows = index[np.searchsorted(keys[index], gen_keys)].reshape(k, count)
+    gen_products = products(gens.astype(elems.dtype), elems.astype(np.intp)).reshape(-1, d)
+    gen_rows = np.fromiter(map(number.get, _row_bytes(gen_products)), np.intp).reshape(k, count)
     parent, via = np.divmod(source[:count], max(k, 1))
 
     def rows(s, e, mult):
@@ -132,7 +128,7 @@ def permutation_closure(degree, generators, order_cap=DEFAULT_ORDER_CAP, name=No
         gens.append(g)
 
     def products(X, Y):  # (x * y)(i) = x(y(i))
-        return X[:, Y]
+        return X.take(Y, axis=1)
 
     return _closure_table(
         np.arange(degree, dtype=_unsigned(degree)),

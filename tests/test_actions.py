@@ -300,3 +300,14 @@ def test_action_json_document_loads(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         load_action(path)
+
+
+@pytest.mark.parametrize("act, message", [([], "one row per group element"),
+                                          ("abc", "'act' must be a list of lists")])
+def test_action_document_with_a_malformed_table_raises_value_error(act, message):
+    from commdeg.schemas import action_from_doc
+
+    doc = {"group": {"kind": "preset", "name": "cyclic", "params": {"n": 2}},
+           "set_size": 3, "act": act}
+    with pytest.raises(ValueError, match=message):
+        action_from_doc(doc)

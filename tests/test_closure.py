@@ -42,6 +42,11 @@ _HEISENBERG3 = [[1, 1, 0, 0, 1, 0, 0, 0, 1], [1, 0, 0, 0, 1, 1, 0, 0, 1]]
 _MOD257 = [[256, 0, 0, 1], [0, 1, 1, 0], [16, 0, 0, 16]]
 # a long cycle and its inverse: 151 elements in 76 breadth-first levels
 _CYCLE151 = [list(range(1, 151)) + [0], [150] + list(range(150))]
+# entries up to 65536 need four-byte keys; 256 has order 4 mod 65537
+_MOD65537 = [[65536, 0, 0, 1], [0, 1, 1, 0], [256, 0, 0, 1]]
+# one generator: 500 elements in 500 breadth-first levels
+_CYCLE500 = [list(range(1, 500)) + [0]]
+_S4 = _symmetric_gens(4)
 
 # name -> (build, oracle arguments, expected name)
 _CASES = {
@@ -63,6 +68,15 @@ _CASES = {
     "151-cycle": (lambda: specs.build_group({"kind": "permgen", "degree": 151,
                                              "generators": _CYCLE151}),
                   ("perm", 151, _CYCLE151), None),
+    "500-cycle": (lambda: specs.build_group({"kind": "permgen", "degree": 500,
+                                             "generators": _CYCLE500}),
+                  ("perm", 500, _CYCLE500), None),
+    "mod 65537": (lambda: specs.matrix_mod_closure(65537, 2, _MOD65537),
+                  ("mat", 65537, 2, _MOD65537), None),
+    "repeated generator": (lambda: specs.permutation_closure(4, _S4 + _S4[:1]),
+                           ("perm", 4, _S4 + _S4[:1]), None),
+    "identity generator": (lambda: specs.permutation_closure(4, [(0, 1, 2, 3), *_S4]),
+                           ("perm", 4, [(0, 1, 2, 3), *_S4]), None),
 }
 
 
@@ -89,6 +103,11 @@ def test_closure_matches_the_scalar_search(monkeypatch, key, block):
 def test_mod_257_needs_two_byte_keys():
     assert (specs._unsigned(256), specs._unsigned(257)) == (np.uint8, np.uint16)
     assert max(max(row) for row in _MOD257) == 256
+
+
+def test_mod_65537_needs_four_byte_keys():
+    assert (specs._unsigned(65536), specs._unsigned(65537)) == (np.uint16, np.uint32)
+    assert max(max(row) for row in _MOD65537) == 65536
 
 
 def test_runaway_closure_raises_before_passing_the_cap(monkeypatch):

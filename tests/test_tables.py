@@ -191,6 +191,35 @@ def test_builder_peak_is_the_table_plus_one_tile(key):
     assert peak <= 1.5 * table + tile, (key, peak, table)
 
 
+def test_dihedral_peak_is_its_table_alone(monkeypatch):
+    """dihedral(n) fills its own table from its formula: no C_n table, no
+    second GroupTable, so the peak is the table and one tile."""
+    built = []
+    init = groups.GroupTable.__init__
+    monkeypatch.setattr(groups.GroupTable, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    out = []
+    peak = _traced_peak(lambda: out.append(presets.dihedral(1024)))
+    table = 4 * out[0].order ** 2
+    tile = 4 * 8 * kernels.BLOCK_ENTRIES  # four int64 tiles
+    assert peak <= 1.1 * table + tile, (peak, table)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("block", [1, 100, kernels.BLOCK_ENTRIES])
+def test_dihedral_is_the_inversion_semidirect_product(monkeypatch, block):
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", block)
+    for n in [*range(1, 65), 151]:
+        inversion = [list(range(n)), [(-i) % n for i in range(n)]]
+        expected = groups.semidirect_product(presets.cyclic(n), presets.cyclic(2), inversion)
+        assert np.array_equal(presets.dihedral(n).mult, expected.mult), n
+
+
+def test_dihedral_needs_n_at_least_1():
+    with pytest.raises(ValueError, match=">= 1"):
+        presets.dihedral(0)
+
+
 def test_every_tiled_pass_follows_the_one_tile_size(monkeypatch):
     """kernels.BLOCK_ENTRIES lowered alone bounds validation, the action law,
     closure and both tiled degree routes on an order-512 group below n^2
