@@ -10,8 +10,12 @@ class CommdegError(Exception):
 
 
 class NotLatin(CommdegError):
-    """A multiplication table row is not a permutation; a repeated column
-    in a table with Latin rows surfaces as NonAssociative."""
+    """A candidate table is malformed: not square, out of range, with a row
+    that is not a permutation, or without element 0 as its identity. Rows
+    are sorted only once some check has rejected a table, and a row that
+    is not a permutation is reported first, whichever check rejected it. A
+    repeated column in a table with Latin rows and identity 0 surfaces as
+    NonAssociative."""
 
 
 class NonAssociative(CommdegError):

@@ -15,7 +15,11 @@ the orbits of the permutations that generators induce. Associativity, the
 center, classes, orbits, G', the characteristic abelian subgroup,
 normality and the action and homomorphism laws rest on them. A table is
 the translation action of its group, so one routine, ``_law_failure``, is
-both Light's test and the action law. ``Subgroup`` checks closure on its
+both Light's test and the action law. Validation decides each axiom once:
+identity, that law on the generators and, for a table, right inverses.
+Acceptance proves a group or an action, so rows are permutations without
+being sorted; ``_rows_are_permutations`` runs only after a check has
+failed, to choose the error. ``Subgroup`` checks closure on its
 own generators: its members lie in the subgroup they generate, and a set
 holding the identity and closed under right multiplication by them holds
 that subgroup, so no pass over member pairs is needed. Row tiles come from
@@ -176,8 +180,13 @@ class GroupTable:
     """A finite group as an explicit order x order multiplication table.
 
     ``mult[g, h]`` is the index of g*h; ``inv[g]`` the index of the inverse.
-    Construction checks every group axiom exhaustively, associativity by
-    Light's test on ``generators``, a generating set of at most log2(order).
+    Construction decides each group axiom once: element 0 is a two-sided
+    identity, Light's test passes on ``generators`` (a generating set of at
+    most log2(order)) and every element has a right inverse. Together these
+    prove the table is a group, so Latin rows follow and are not checked on
+    success. On failure the rows are sorted only to classify it: NotLatin
+    when a row is not a permutation or the identity fails, in that order,
+    else NonAssociative naming a failing triple.
     A writable int32 table is copied first, so the caller's array is never
     frozen; a read-only one is shared.
     """
@@ -194,20 +203,26 @@ class GroupTable:
         idx = np.arange(n, dtype=np.int32)
         if mult.min() < 0 or mult.max() >= n:
             raise NotLatin("table entries out of range")
-        if not _rows_are_permutations(mult):
-            raise NotLatin("some row is not a permutation")
-        if not (np.array_equal(mult[0], idx) and np.array_equal(mult[:, 0], idx)):
-            raise NotLatin("element 0 is not a two-sided identity")
-        # Associativity, identity 0 and Latin rows give every element a right
-        # inverse, so the table is a group and its columns are permutations.
-        # The g that pass Light's test form a subgroup (the middle nucleus):
-        # while picks pass, each doubles one, so any failure is among the picks.
+        identity = np.array_equal(mult[0], idx) and np.array_equal(mult[:, 0], idx)
+        # The g that pass Light's test, (x g) y == x (g y) for all x and y,
+        # form a closed submagma (the middle nucleus). A pick g that passes
+        # and has a right inverse t has an injective column, (x g) t =
+        # x (g t) = x, so the picks generate a group, each new pick doubles
+        # the closure, and fewer than n.bit_length() picks cover the table:
+        # every element is then in the nucleus and the table is a group. No
+        # coverage check is needed, and a Latin table with identity 0 that
+        # fails has a failing triple.
         self.generators = _generating_set(mult, np.ones(n, dtype=bool))
-        if (bad := _law_failure(mult, mult, self.generators)) is not None:
-            raise NonAssociative(f"associativity fails at triple {bad}")
+        bad = _law_failure(mult, mult, self.generators)
         inv = np.empty(n, dtype=np.int32)
         for s, e in row_tiles(n, n):
             inv[s:e] = np.argmax(mult[s:e] == 0, axis=1)
+        if not (identity and bad is None and not mult[idx, inv].any()):
+            if not _rows_are_permutations(mult):
+                raise NotLatin("some row is not a permutation")
+            if not identity:
+                raise NotLatin("element 0 is not a two-sided identity")
+            raise NonAssociative(f"associativity fails at triple {bad}")
         self.order = n
         self.mult = _frozen(mult)
         self.inv = _frozen(inv)
@@ -473,17 +488,27 @@ def direct_product(A: GroupTable, B: GroupTable) -> GroupTable:
 
 def check_action(G: GroupTable, act) -> np.ndarray:
     """Validate one permutation of a point set per element of G, acting by
-    act[g h] = act[g] o act[h] (checked for h in G.generators: the h that
-    pass are closed under multiplication); return it as int32 or raise
-    InvalidAction."""
+    act[g h] = act[g] o act[h]; return it as int32 or raise InvalidAction.
+
+    Entries in range, the identity acting trivially and the law for h in
+    G.generators (the h that pass are closed under multiplication) prove
+    it: act[g] o act[g^-1] = act[0] is the identity map, so every row is a
+    permutation. On failure the rows are sorted only to classify it: not a
+    permutation, then the identity, then the law, in that order.
+    """
     act = np.ascontiguousarray(act, dtype=np.int32)
     if act.ndim != 2 or act.shape[0] != G.order:
         raise InvalidAction("action table must have one row per group element")
-    if not _rows_are_permutations(act):
-        raise InvalidAction("some action row is not a permutation of the points")
-    if not np.array_equal(act[0], np.arange(act.shape[1])):
-        raise InvalidAction("the identity must act trivially")
-    if (bad := _law_failure(G.mult, act, G.generators)) is not None:
+    points = act.shape[1]
+    # take wraps negative indices and rejects large ones: read the law in range
+    in_range = points == 0 or (act.min() >= 0 and act.max() < points)
+    identity = np.array_equal(act[0], np.arange(points))
+    bad = _law_failure(G.mult, act, G.generators) if in_range else None
+    if not (in_range and identity and bad is None):
+        if not _rows_are_permutations(act):
+            raise InvalidAction("some action row is not a permutation of the points")
+        if not identity:
+            raise InvalidAction("the identity must act trivially")
         raise InvalidAction(f"action law fails against element {bad[1]}")
     return act
 

@@ -24,7 +24,8 @@ so the numbering is the same at any tile size.
 The table is filled from the search's own record. Each element but the
 identity is found as p * g for a queued element p and a generator g, so
 its row is row(p) gathered through row(g): (p g) y = p (g y). Only the
-generators' rows are looked up by key. Parents are queued before their
+generators' rows are looked up by key, one tile of elements at a time,
+and the dict is dropped before the fill. Parents are queued before their
 children, so every row reads a row filled before it.
 """
 from __future__ import annotations
@@ -68,8 +69,8 @@ def _closure_table(identity, gens, products, order_cap, name, prefix, labels=Non
 
     ``identity`` is a row of an unsigned dtype that holds every entry.
     ``products(X, Y)`` is the (len(X), len(Y), d) array of the products
-    x * y, for X rows of elements and Y either ``gens`` or every element as
-    intp. Without a ``name`` the group is named ``{prefix}#{order}``.
+    x * y, for X rows of elements and Y either ``gens`` or a tile of
+    elements as intp. Without a ``name`` the group is named ``{prefix}#{order}``.
     ``labels(E)`` gives lazy labels for the element array E.
     """
     d, k = identity.size, len(gens)
@@ -98,8 +99,13 @@ def _closure_table(identity, gens, products, order_cap, name, prefix, labels=Non
             count += len(new)
 
     elems = elems[:count]
-    gen_products = products(gens.astype(elems.dtype), elems.astype(np.intp)).reshape(-1, d)
-    gen_rows = np.fromiter(map(number.get, _row_bytes(gen_products)), np.intp).reshape(k, count)
+    gen_elems = gens.astype(elems.dtype)
+    gen_rows = np.empty((k, count), dtype=np.intp)
+    for s, e in row_tiles(count, k * d):  # k products per element
+        tile = products(gen_elems, elems[s:e].astype(np.intp)).reshape(-1, d)
+        gen_rows[:, s:e] = np.fromiter(map(number.get, _row_bytes(tile)), np.intp,
+                                       count=len(tile)).reshape(k, e - s)
+    del number
     parent, via = np.divmod(source[:count], max(k, 1))
 
     def rows(s, e, mult):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import commdeg
+from commdeg.errors import InvalidAction, NonAssociative, NotLatin
 from commdeg.groups import GroupTable, Subgroup, quotient
 from commdeg.specs import build_group
 
@@ -433,6 +434,62 @@ def oracle_structural_breakdown(table):
         seen |= {table[g][z] for z in zcenter}
         out.append((g, Fraction(len(oracle_centralizer(table, g)), n)))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# validation oracles: every axiom checked in full, rows sorted first
+
+
+def oracle_validate_table(table):
+    """The rejection ``GroupTable(table)`` must raise, as (type, message),
+    or None for a group table. Checks run in order on the table as lists:
+    square and non-empty, entries in range, every row a permutation,
+    element 0 a two-sided identity, then Light's test on the greedy picks,
+    each the least element outside the right closure of the picks before
+    it, at most n.bit_length() of them. The failing triple named is the
+    first (x, g, y), g in pick order and then (x, y) row-major."""
+    arr = np.asarray(table)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        return NotLatin, "multiplication table must be square"
+    rows, n = arr.tolist(), len(arr)
+    if n == 0:
+        return NotLatin, "empty table"
+    if any(not 0 <= v < n for row in rows for v in row):
+        return NotLatin, "table entries out of range"
+    if any(sorted(row) != list(range(n)) for row in rows):
+        return NotLatin, "some row is not a permutation"
+    if rows[0] != list(range(n)) or [row[0] for row in rows] != list(range(n)):
+        return NotLatin, "element 0 is not a two-sided identity"
+    picks, reached = [], [0]
+    while len(picks) < n.bit_length() and len(reached) < n:
+        picks.append(min(set(range(n)) - set(reached)))
+        reached = oracle_right_closure(rows, picks)
+    for g in picks:
+        for x in range(n):
+            for y in range(n):
+                if rows[rows[x][g]][y] != rows[x][rows[g][y]]:
+                    return NonAssociative, f"associativity fails at triple {(x, g, y)}"
+    return None
+
+
+def oracle_check_action(G, act):
+    """The rejection ``check_action(G, act)`` must raise, as (type,
+    message), or None for an action. Checks run in order on the rows as
+    lists: one row per element, every row a permutation of the points, the
+    identity row fixing every point, then act[x g] = act[x] o act[g] for
+    every x, naming the first g of ``G.generators`` that fails."""
+    arr = np.asarray(act)
+    if arr.ndim != 2 or arr.shape[0] != G.order:
+        return InvalidAction, "action table must have one row per group element"
+    rows, points, mult = arr.tolist(), list(range(arr.shape[1])), G.mult.tolist()
+    if any(sorted(row) != points for row in rows):
+        return InvalidAction, "some action row is not a permutation of the points"
+    if rows[0] != points:
+        return InvalidAction, "the identity must act trivially"
+    for g in G.generators:
+        if any(rows[mult[x][g]][y] != rows[x][rows[g][y]] for x in range(G.order) for y in points):
+            return InvalidAction, f"action law fails against element {g}"
+    return None
 
 
 # a 5x5 Latin square with two-sided identity that is not associative

@@ -5,6 +5,7 @@ order cap before it passes it."""
 import functools
 import random
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -126,6 +127,27 @@ def test_runaway_closure_raises_before_passing_the_cap(monkeypatch):
     assert peak < 1 << 20
     # every check before the failing one let the closure grow to at most 10
     assert checked[-1] > 10 and max(checked[:-1]) <= 10
+
+
+def test_cycle_closure_peak_is_its_table_elements_and_labels():
+    """The generator rows are looked up one tile of elements at a time and
+    the search's dict is dropped before the table is filled, so a 1000-cycle
+    peaks at what the group keeps (table, element rows, labels) plus one
+    intp tile: about 10.6 MB, where a lookup over all elements at once
+    peaked at 14.5 MB."""
+    n = 1000
+    cycle = tuple(range(1, n)) + (0,)
+    out = []
+    tracemalloc.start()
+    try:
+        out.append(specs.permutation_closure(n, [cycle]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    G = out[0]
+    kept = 4 * n * n + 2 * n * n + sum(map(sys.getsizeof, G.labels))  # uint16 rows
+    assert G.order == n
+    assert peak <= 1.05 * kept + 8 * kernels.BLOCK_ENTRIES, (peak, kept)
 
 
 def test_closure_past_the_default_cap_raises():

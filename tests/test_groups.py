@@ -1,5 +1,7 @@
 """Group construction and subgroup machinery."""
+import itertools
 import math
+import random
 import re
 import tracemalloc
 
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from commdeg import groups, kernels
+from commdeg.actions import conjugation_action, translation_action
 from commdeg.errors import (
     InvalidAction,
     NonAssociative,
@@ -39,8 +42,11 @@ from commdeg.specs import build_group, permutation_closure
 
 from conftest import (
     NONASSOCIATIVE_LOOP,
+    build_action_suite,
+    corpus_specs,
     oracle_centralizer,
     oracle_char_abelian,
+    oracle_check_action,
     oracle_classes,
     oracle_commutator_subgroup,
     oracle_generating_picks,
@@ -52,6 +58,7 @@ from conftest import (
     oracle_right_closure,
     oracle_s3_table,
     oracle_subgroup_closure,
+    oracle_validate_table,
     swap_intercalate,
 )
 
@@ -249,11 +256,147 @@ def test_a_table_with_closed_prefixes_is_rejected_after_few_picks():
     every prefix 0..k closed, so each greedy pick adds one element. Picking
     stops at n.bit_length() generators, and the first one fails."""
     n = 1000
-    x, y = np.ogrid[:n, :n]
-    table = np.where(y <= x, x - y, y).astype(np.int32)
+    table = _closed_prefix_table(n)
     assert groups._generating_set(table, np.ones(n, dtype=bool)) == tuple(range(1, 11))
     with pytest.raises(NonAssociative, match=r"triple \(2, 1, 1\)$"):
         GroupTable(table)
+
+
+def _closed_prefix_table(n):
+    x, y = np.ogrid[:n, :n]
+    return np.where(y <= x, x - y, y).astype(np.int32)
+
+
+def _verdict(call, *args):
+    """None when the call accepts, else the rejection's (type, message)."""
+    try:
+        call(*args)
+    except (NotLatin, NonAssociative, InvalidAction) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _edits(table, rng, low, high):
+    """A copy of ``table`` with one to three edits, each setting an entry to
+    a value in low..high-1 or swapping two entries of a row (which keeps a
+    permutation a permutation)."""
+    out = np.array(table)
+    rows, width = out.shape
+    for _ in range(rng.randint(1, 3)):
+        x, y, z = rng.randrange(rows), rng.randrange(width), rng.randrange(width)
+        if rng.random() < 0.5:
+            out[x, y] = rng.randrange(low, high)
+        else:
+            out[x, [y, z]] = out[x, [z, y]]
+    return out
+
+
+_MUTATED_GROUPS = ("C8", "D6", "Q8", "E2^3", "S4", "C64", "H3")
+
+# tables no group construction makes: rows that are not permutations with
+# a 0 in each (so every element has a right inverse), and an associative
+# monoid whose rows 1 and 2 hold no 0 (so only the right inverses fail)
+_ZERO_IN_EVERY_ROW = [[0, 1, 2], [1, 0, 0], [2, 0, 0]]
+_MONOID_WITHOUT_INVERSES = [[0, 1, 2], [1, 2, 2], [2, 2, 2]]
+
+
+@pytest.mark.parametrize("table", [_ZERO_IN_EVERY_ROW, _MONOID_WITHOUT_INVERSES])
+def test_a_table_rejected_off_the_latin_check_is_still_not_latin(table):
+    assert oracle_is_associative(table) == (table is _MONOID_WITHOUT_INVERSES)
+    with pytest.raises(NotLatin, match="^some row is not a permutation$"):
+        GroupTable(table)
+
+
+def test_an_action_row_holding_minus_one_is_not_a_permutation():
+    act = np.tile(np.arange(3), (2, 1))
+    act[1] = [-1, 1, 2]  # take would read -1 as point 2
+    with pytest.raises(InvalidAction, match="not a permutation"):
+        check_action(cyclic(2), act)
+
+
+@pytest.mark.parametrize("block", [1, 100, kernels.BLOCK_ENTRIES])
+def test_table_verdicts_match_the_axiom_oracle(corpus, monkeypatch, block):
+    """GroupTable gives the verdict, error type and message of the axioms
+    checked in full, rows sorted first, on the suite's malformed tables,
+    seeded edits of seven groups and all 81 order-3 tables with identity 0."""
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", block)
+    C64 = corpus["C64"].mult
+    small = [G.mult.tolist() for G in corpus.values() if G.order <= 64]
+    D4C4_3 = dihedral(4)
+    for _ in range(3):
+        D4C4_3 = direct_product(D4C4_3, cyclic(4))
+    tables = [
+        [[0, 1], [1, 1]], [[1, 0], [0, 1]], [[0, 1]], np.zeros((0, 0), dtype=int),
+        [[0, 1], [1, 2]], [[0, 1], [1, -1]], NONASSOCIATIVE_LOOP,
+        [[0, 1, 2], [1, 2, 0], [2, 1, 0]],
+        [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 1, 0]],
+        _ZERO_IN_EVERY_ROW, _MONOID_WITHOUT_INVERSES, _closed_prefix_table(1000),
+        *(_with_repeat_in_row(C64, r) for r in (1, 40, 63)),
+        *(t for t in map(swap_intercalate, small) if t is not None),
+        swap_intercalate(D4C4_3.mult.tolist()),
+    ]
+    rng = random.Random(21)
+    for name in _MUTATED_GROUPS:
+        mult = corpus[name].mult
+        tables += [mult] + [_edits(mult, rng, 0, len(mult)) for _ in range(40)]
+    for free in itertools.product(range(3), repeat=4):
+        tables.append([[0, 1, 2], [1, *free[:2]], [2, *free[2:]]])
+    seen = set()
+    for table in tables:
+        want = oracle_validate_table(table)
+        assert _verdict(GroupTable, table) == want, np.asarray(table).tolist()
+        seen.add(want and want[1].split(" at ")[0])
+    assert seen >= {None, "some row is not a permutation", "associativity fails",
+                    "element 0 is not a two-sided identity"}
+
+
+@pytest.mark.parametrize("block", [1, 100, kernels.BLOCK_ENTRIES])
+def test_action_verdicts_match_the_axiom_oracle(monkeypatch, block):
+    """The same for check_action: the suite's malformed actions, and seeded
+    edits of the action suite with entries from -1 to the point count."""
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", block)
+    repeats = np.tile(np.arange(40), (8, 1))
+    repeats[7, [3, 4]] = 9
+    cases = [
+        (cyclic(2), [[0, 1, 2], [0, 0, 1]]), (cyclic(2), [[0, 1, 2], [0, 0, 2]]),
+        (cyclic(2), [[1, 0, 2], [0, 1, 2]]), (cyclic(8), repeats),
+        (cyclic(4), [[0, 1, 2], [1, 2, 0], [2, 0, 1], [1, 2, 0]]),
+        (elementary(2, 2), [[0, 1, 2], [1, 0, 2], [1, 2, 0], [2, 1, 0]]),
+        (cyclic(2), [[0, 1, 2, 3], [0, 2, 1, 3]]), (cyclic(3), [[0, 1]] * 2),
+        (cyclic(2), [[0, 1], [-1, 0]]), (cyclic(2), [[0, 1], [-3, 0]]),
+        (cyclic(2), [[0, 1], [2, 0]]),
+        (cyclic(2), np.zeros((2, 0), dtype=int)),
+    ]
+    rng = random.Random(21)
+    for a in build_action_suite() + [translation_action(dihedral(6))]:
+        cases.append((a.group, a.act))
+        cases += [(a.group, _edits(a.act, rng, -1, a.set_size + 1)) for _ in range(40)]
+    seen = set()
+    for G, act in cases:
+        want = oracle_check_action(G, act)
+        assert _verdict(check_action, G, act) == want, np.asarray(act).tolist()
+        seen.add(want and want[1].split(" against ")[0])
+    assert seen == {None, "some action row is not a permutation of the points",
+                    "the identity must act trivially", "action law fails",
+                    "action table must have one row per group element"}
+
+
+def test_accepting_never_sorts_rows(corpus, monkeypatch):
+    """Acceptance is proved on the generators, so the row sort runs only to
+    classify a rejection: every construction here succeeds without it."""
+
+    def unreachable(table):
+        raise AssertionError("rows sorted on a table that is accepted")
+
+    monkeypatch.setattr(groups, "_rows_are_permutations", unreachable)
+    built = [build_group(spec) for spec in corpus_specs().values()]
+    assert [G.mult.tolist() for G in built] == [G.mult.tolist() for G in corpus.values()]
+    assert len(build_action_suite()) >= 10
+    for G in (quaternion8(), symmetric(4), dihedral(5)):
+        conjugation_action(G)
+    F20 = semidirect_product(cyclic(5), cyclic(4), [[x * 2**h % 5 for x in range(5)]
+                                                    for h in range(4)])
+    assert F20.order == 20 and not F20.is_abelian()
 
 
 def test_generators_are_few_and_generate(corpus):
