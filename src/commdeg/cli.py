@@ -2,18 +2,20 @@
 
 Subcommands: degree, degree-mn, tower, straight, estimate, info.
 
-Shared flags: ``--group FILE`` or ``--preset NAME`` select the input
-(exactly one); ``--p/--n/--depth/--dim`` are preset parameters, while
-``-m/-n`` are the power exponents. ``--csv FILE`` switches from the table
-renderer to CSV emission. For ``straight`` the power comes from ``--n``
-(or ``-n``), defaulting to 2.
+Flags: every subcommand takes ``--group FILE`` or ``--preset NAME``
+(exactly one) and ``--csv FILE``, which switches from the table renderer
+to CSV emission; ``_TABLE`` gives each subcommand the other flags it
+reads and no more, so a flag it would ignore is a usage error.
+``--p/--n/--depth/--dim`` are preset parameters and are refused with
+``--group``; ``-m/-n`` are the power exponents. ``straight`` reads its
+power from one option spelled ``-n`` or ``--n``, defaulting to 2.
 
 CSV schemas:
   degree family: group,order,method,num,den,approx
   estimate:      preset,m,n,trials,seed,mean,stderr,exact_num,exact_den
 
-Exit codes: 0 success, 1 input/parse errors, 2 exact cross-check mismatch,
-3 numeric non-convergence.
+Exit codes: 0 success, 1 input and usage errors, 2 exact cross-check
+mismatch, 3 numeric non-convergence.
 
 A subcommand imports only its own modules: each ``cmd_*`` function
 imports what it runs when it is called, so ``import commdeg.cli`` loads
@@ -25,7 +27,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from commdeg.errors import (
@@ -37,31 +38,6 @@ from commdeg.errors import (
     NonConvergence,
     UnknownPreset,
 )
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: one input source, powers, sampling, rendering."""
-
-    subcommand: str
-    group_file: str | None = None
-    preset: str | None = None
-    params: dict = field(default_factory=dict)
-    m: int = 1
-    n: int = 1
-    trials: int = 100000
-    seed: int = 0
-    csv_path: str | None = None
-    order_cap: int = DEFAULT_ORDER_CAP
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        if (self.group_file is None) == (self.preset is None):
-            raise ValueError("exactly one of --group FILE or --preset NAME is required")
-        if self.m < 1 or self.n < 1:
-            raise ValueError("powers must be >= 1")
-        if self.subcommand == "estimate" and self.trials < 100:
-            raise ValueError("--trials must be at least 100")
 
 
 def _fmt(value: Fraction) -> str:
@@ -95,20 +71,20 @@ _ESTIMATE_HEADER = [
 ]
 
 
-def _load_group(cfg: RunConfig):
+def _load_group(args):
     from commdeg.specs import build_group, load_group_spec
 
-    if cfg.group_file is not None:
-        spec = load_group_spec(cfg.group_file)
+    if args.group is not None:
+        spec = load_group_spec(args.group)
     else:
-        spec = {"kind": "preset", "name": cfg.preset, "params": cfg.params}
-    return build_group(spec, cfg.order_cap)
+        spec = {"kind": "preset", "name": args.preset, "params": args.params}
+    return build_group(spec, args.order_cap)
 
 
-def cmd_degree(cfg: RunConfig) -> int:
+def cmd_degree(args) -> int:
     from commdeg.degrees import degree_bruteforce, degree_centralizer_sum, degree_structural
 
-    G = _load_group(cfg)
+    G = _load_group(args)
     reports = [
         degree_bruteforce(G),
         degree_centralizer_sum(G),
@@ -120,8 +96,8 @@ def cmd_degree(cfg: RunConfig) -> int:
             "exact methods disagree: "
             + ", ".join(f"{r.method}={_fmt(r.value)}" for r in reports)
         )
-    if cfg.csv_path:
-        _write_csv(cfg.csv_path, _DEGREE_HEADER, _degree_rows(reports))
+    if args.csv_path:
+        _write_csv(args.csv_path, _DEGREE_HEADER, _degree_rows(reports))
         return 0
     print(f"group: {G.name}  order: {G.order}")
     for r in reports:
@@ -129,20 +105,20 @@ def cmd_degree(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_degree_mn(cfg: RunConfig) -> int:
+def cmd_degree_mn(args) -> int:
     from commdeg.degrees import degree_mn, degree_mn_pushforward
 
-    G = _load_group(cfg)
-    direct = degree_mn(G, cfg.m, cfg.n)
-    pushed = degree_mn_pushforward(G, cfg.m, cfg.n)
+    G = _load_group(args)
+    direct = degree_mn(G, args.m, args.n)
+    pushed = degree_mn_pushforward(G, args.m, args.n)
     if direct.value != pushed.value:
         raise CrossCheckMismatch(
             f"pair count {_fmt(direct.value)} != pushforward {_fmt(pushed.value)}"
         )
-    if cfg.csv_path:
-        _write_csv(cfg.csv_path, _DEGREE_HEADER, _degree_rows([direct, pushed]))
+    if args.csv_path:
+        _write_csv(args.csv_path, _DEGREE_HEADER, _degree_rows([direct, pushed]))
         return 0
-    print(f"group: {G.name}  order: {G.order}  m={cfg.m} n={cfg.n}")
+    print(f"group: {G.name}  order: {G.order}  m={args.m} n={args.n}")
     print(f"  d_mn = {_fmt(direct.value)}  ({_approx(direct.value)})  [both routes]")
     return 0
 
@@ -151,32 +127,32 @@ def cmd_degree_mn(cfg: RunConfig) -> int:
 _TOWER_PRESETS = ("cyclic", "elementary", "heisenberg")
 
 
-def cmd_tower(cfg: RunConfig) -> int:
+def cmd_tower(args) -> int:
     from commdeg import schemas, towers
 
-    if cfg.group_file is not None:
-        tower = schemas.load_tower(cfg.group_file, cfg.order_cap)
+    if args.group is not None:
+        tower = schemas.load_tower(args.group, args.order_cap)
     else:
-        if cfg.preset not in _TOWER_PRESETS:
+        if args.preset not in _TOWER_PRESETS:
             raise UnknownPreset(
-                f"unknown tower preset {cfg.preset!r}; known: " + ", ".join(_TOWER_PRESETS)
+                f"unknown tower preset {args.preset!r}; known: " + ", ".join(_TOWER_PRESETS)
             )
-        builder = getattr(towers, f"{cfg.preset}_tower")
-        p = cfg.params.get("p")
+        builder = getattr(towers, f"{args.preset}_tower")
+        p = args.params.get("p")
         if p is None:
             raise ValueError("tower presets need --p")
-        depth = cfg.params.get("depth", 2)
-        tower = builder(int(p), int(depth), order_cap=cfg.order_cap)
-    report = towers.tower_degrees(tower, cfg.m, cfg.n)
-    if cfg.csv_path:
+        depth = args.params.get("depth", 2)
+        tower = builder(int(p), int(depth), order_cap=args.order_cap)
+    report = towers.tower_degrees(tower, args.m, args.n)
+    if args.csv_path:
         rows = [
             (f"{tower.name}:L{k + 1}", order, "bruteforce",
              d.numerator, d.denominator, _approx(d))
             for k, (order, d) in enumerate(zip(report.per_level_orders, report.degrees))
         ]
-        _write_csv(cfg.csv_path, _DEGREE_HEADER, rows)
+        _write_csv(args.csv_path, _DEGREE_HEADER, rows)
         return 0
-    print(f"tower: {tower.name}  m={cfg.m} n={cfg.n}")
+    print(f"tower: {tower.name}  m={args.m} n={args.n}")
     for k, (order, d) in enumerate(zip(report.per_level_orders, report.degrees)):
         print(f"  level {k + 1}: order {order:<6} d = {_fmt(d)}  ({_approx(d)})")
     print("  antitone: OK")
@@ -186,21 +162,21 @@ def cmd_tower(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_straight(cfg: RunConfig) -> int:
+def cmd_straight(args) -> int:
     from commdeg.lie import build_lie_preset, straightness_verdict
 
-    if cfg.group_file is not None:
+    if args.group is not None:
         from commdeg import schemas
 
-        preset = schemas.load_certificates(cfg.group_file)
+        preset = schemas.load_certificates(args.group)
     else:
-        preset = build_lie_preset(cfg.preset, cfg.params)
-    n = cfg.n
-    verdict = straightness_verdict(preset, n, cfg.tol)
-    if cfg.csv_path:
+        preset = build_lie_preset(args.preset, args.params)
+    n = args.n
+    verdict = straightness_verdict(preset, n, args.tol)
+    if args.csv_path:
         rows = [(preset.name, n, int(verdict.straight), len(verdict.witnesses),
                  verdict.witnesses[0][0].label if verdict.witnesses else "")]
-        _write_csv(cfg.csv_path, ["preset", "n", "straight", "witnesses", "first_witness"], rows)
+        _write_csv(args.csv_path, ["preset", "n", "straight", "witnesses", "first_witness"], rows)
         return 0
     if verdict.straight:
         print(f"{preset.name}: straight for n={n} ({verdict.caveat})")
@@ -217,26 +193,31 @@ def cmd_straight(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_estimate(cfg: RunConfig) -> int:
+def cmd_estimate(args) -> int:
     from commdeg.sampler import estimate_degree_mn, estimate_finite, get_sampler_preset
 
     est = None
-    if cfg.preset is not None:
+    if args.preset is not None:
         try:
-            sampler_preset = get_sampler_preset(cfg.preset, dim=cfg.params.get("dim", 1))
+            sampler_preset = get_sampler_preset(args.preset, dim=args.params.get("dim", 1))
         except UnknownPreset:
             sampler_preset = None
         if sampler_preset is not None:
-            est = estimate_degree_mn(sampler_preset, cfg.m, cfg.n, cfg.trials, cfg.seed)
+            # "dihedral" also names the finite D_n, whose n a user may mean
+            if args.params.keys() & {"p", "n"}:
+                raise ValueError(
+                    f"sampler preset {args.preset!r} reads only --dim, not --p/--n"
+                )
+            est = estimate_degree_mn(sampler_preset, args.m, args.n, args.trials, args.seed)
     if est is None:
-        G = _load_group(cfg)
-        est = estimate_finite(G, cfg.m, cfg.n, cfg.trials, cfg.seed)
-    if cfg.csv_path:
+        G = _load_group(args)
+        est = estimate_finite(G, args.m, args.n, args.trials, args.seed)
+    if args.csv_path:
         row = (est.preset, est.m, est.n, est.trials, est.seed,
                f"{est.mean:.12g}", f"{est.stderr:.12g}",
                est.exact.numerator if est.exact is not None else "",
                est.exact.denominator if est.exact is not None else "")
-        _write_csv(cfg.csv_path, _ESTIMATE_HEADER, [row])
+        _write_csv(args.csv_path, _ESTIMATE_HEADER, [row])
         return 0
     print(f"preset: {est.preset}  m={est.m} n={est.n}  trials={est.trials} seed={est.seed}")
     print(f"  mean = {est.mean:.6f}  stderr = {est.stderr:.6f}")
@@ -246,7 +227,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_info(cfg: RunConfig) -> int:
+def cmd_info(args) -> int:
     from commdeg.degrees import degree_bruteforce
     from commdeg.groups import (
         center,
@@ -255,15 +236,15 @@ def cmd_info(cfg: RunConfig) -> int:
         conjugacy_classes,
     )
 
-    G = _load_group(cfg)
+    G = _load_group(args)
     classes = conjugacy_classes(G)
     z = center(G)
     gp = commutator_subgroup(G)
     ag = characteristic_abelian_subgroup(G)
     d = degree_bruteforce(G).value
-    if cfg.csv_path:
+    if args.csv_path:
         _write_csv(
-            cfg.csv_path,
+            args.csv_path,
             ["group", "order", "abelian", "center", "classes", "commutator",
              "char_abelian", "num", "den", "approx"],
             [(G.name, G.order, int(G.is_abelian()), z.order, len(classes),
@@ -289,77 +270,90 @@ _COMMANDS = {
 }
 
 
-def _add_common(sub):
-    sub.add_argument("--group", metavar="FILE", help="JSON input document")
-    sub.add_argument("--preset", metavar="NAME", help="named preset")
-    sub.add_argument("--p", type=int, dest="param_p", help="preset parameter p")
-    sub.add_argument("--n", type=int, dest="param_n", help="preset parameter n")
-    sub.add_argument("--depth", type=int, dest="param_depth", help="tower depth")
-    sub.add_argument("--dim", type=int, dest="param_dim", help="preset dimension")
-    sub.add_argument("-m", type=int, default=1, dest="power_m", help="first power")
-    sub.add_argument("-n", type=int, dest="power_n", help="second power")
-    sub.add_argument("--trials", type=int, default=100000)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--csv", metavar="FILE", dest="csv_path")
-    sub.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP, dest="order_cap",
-                     help="lower the order cap for the loaded group")
-    sub.add_argument("--tol", type=float, default=1e-9)
+# Every subcommand takes --group, --preset and --csv, then its flags in
+# _TABLE; one option may have several spellings, joined by "/".
+_FLAGS = {
+    "--group": dict(metavar="FILE", help="JSON input document"),
+    "--preset": dict(metavar="NAME", help="named preset"),
+    "--csv": dict(metavar="FILE", dest="csv_path"),
+    "--p": dict(type=int, dest="param_p", help="preset parameter p"),
+    "--n": dict(type=int, dest="param_n", help="preset parameter n"),
+    "--depth": dict(type=int, dest="param_depth", help="tower depth"),
+    "--dim": dict(type=int, dest="param_dim", help="preset dimension"),
+    "-m": dict(type=int, default=1, help="first power"),
+    "-n": dict(type=int, default=1, help="second power"),
+    "-n/--n": dict(type=int, default=2, help="power"),
+    "--trials": dict(type=int, default=100000),
+    "--seed": dict(type=int, default=0),
+    "--order-cap": dict(type=int, default=DEFAULT_ORDER_CAP,
+                        help="lower the order cap for the loaded group"),
+    "--tol": dict(type=float, default=1e-9),
+}
+_TABLE = {
+    "degree": ("--p", "--n", "--order-cap"),
+    "degree-mn": ("--p", "--n", "-m", "-n", "--order-cap"),
+    "tower": ("--p", "--depth", "-m", "-n", "--order-cap"),
+    "straight": ("--dim", "--tol", "-n/--n"),
+    "estimate": ("--p", "--n", "--dim", "-m", "-n", "--trials", "--seed", "--order-cap"),
+    "info": ("--p", "--n", "--order-cap"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, so ``main`` returns 1 for them; argparse
+    would exit 2, the cross-check code."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # no abbreviations: --d would be --depth under tower and --dim under estimate
+    parser = _Parser(
         prog="commdeg",
         description="Exact and Monte Carlo commuting probabilities on groups",
+        allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
     for name in _COMMANDS:
-        _add_common(subs.add_parser(name))
+        sub = subs.add_parser(name, allow_abbrev=False)
+        for flag in ("--group", "--preset", "--csv") + _TABLE[name]:
+            sub.add_argument(*flag.split("/"), **_FLAGS[flag])
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    params = {}
-    if args.param_p is not None:
-        params["p"] = args.param_p
-    if args.param_n is not None:
-        params["n"] = args.param_n
-    if args.param_depth is not None:
-        params["depth"] = args.param_depth
-    if args.param_dim is not None:
-        params["dim"] = args.param_dim
-    if args.subcommand == "straight":
-        # the straightness power is conventionally given as --n
-        n = args.param_n if args.param_n is not None else args.power_n
-        n = 2 if n is None else n
-    else:
-        n = args.power_n if args.power_n is not None else 1
-    return RunConfig(
-        subcommand=args.subcommand,
-        group_file=args.group,
-        preset=args.preset,
-        params=params,
-        m=args.power_m,
-        n=n,
-        trials=args.trials,
-        seed=args.seed,
-        csv_path=args.csv_path,
-        order_cap=args.order_cap,
-        tol=args.tol,
-    )
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[args.subcommand](cfg)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            raise ValueError(
+                f"commdeg {args.subcommand}: unrecognized arguments: {' '.join(extra)}"
+            )
+        args.params = {name.removeprefix("param_"): value
+                       for name, value in vars(args).items()
+                       if name.startswith("param_") and value is not None}
+        if (args.group is None) == (args.preset is None):
+            raise ValueError("exactly one of --group FILE or --preset NAME is required")
+        if args.group is not None and args.params:
+            raise ValueError(
+                "a --group file reads no preset parameters: "
+                + ", ".join(f"--{name}" for name in args.params)
+            )
+        if min(getattr(args, "m", 1), getattr(args, "n", 1)) < 1:
+            raise ValueError("powers must be >= 1")
+        if getattr(args, "trials", 100) < 100:
+            raise ValueError("--trials must be at least 100")
+        return _COMMANDS[args.subcommand](args)
     except (CrossCheckMismatch, AntitoneViolation) as exc:
         print(f"cross-check error: {exc}", file=sys.stderr)
         return 2
     except (NonConvergence, ModulusViolation) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except (CommdegError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except KeyError as exc:
+        print(f"error: input is missing key {exc}", file=sys.stderr)
+        return 1
+    except (CommdegError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, CSV golden files, exit codes, round trips."""
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -249,6 +250,107 @@ def test_order_cap_flag(tmp_path):
 def test_estimate_rejects_tiny_trials():
     out = run_cli("estimate", "--preset", "dihedral", "--trials", "50")
     assert out.returncode == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("degree", "--preset", "s3", "--n", "abc"),
+    ("degree", "--preset", "s3", "--bogus"),
+    ("degree", "--preset", "s3", "--d", "3"),  # no abbreviations
+    ("degree", "--preset", "s3", "--n"),
+    ("bogus",),
+    (),
+])
+def test_usage_errors_exit_one(args):
+    out = run_cli(*args)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
+
+
+def test_usage_errors_return_one_in_process(capsys):
+    assert cli.main(["degree", "--bogus"]) == 1
+    assert cli.main([]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: commdeg degree: unrecognized arguments: --bogus",
+                   "error: commdeg: the following arguments are required: subcommand"]
+
+
+def test_help_exits_zero():
+    out = run_cli("degree", "-h")
+    assert out.returncode == 0
+    assert "--order-cap" in out.stdout
+
+
+# Each subcommand's flags besides --group, --preset and --csv.
+_FLAG_TABLE = {
+    "degree": {"--p", "--n", "--order-cap"},
+    "info": {"--p", "--n", "--order-cap"},
+    "degree-mn": {"--p", "--n", "-m", "-n", "--order-cap"},
+    "tower": {"--p", "--depth", "-m", "-n", "--order-cap"},
+    "straight": {"--dim", "--tol", "-n", "--n"},
+    "estimate": {"--p", "--n", "--dim", "-m", "-n", "--trials", "--seed", "--order-cap"},
+}
+_SOURCE_FLAGS = {"--group", "--preset", "--csv"}
+_EVERY_FLAG = set().union(*_FLAG_TABLE.values(), _SOURCE_FLAGS)
+
+
+@pytest.mark.parametrize("command, flag", sorted(
+    (command, flag) for command, table in _FLAG_TABLE.items()
+    for flag in _EVERY_FLAG - table - _SOURCE_FLAGS
+))
+def test_a_flag_outside_the_table_exits_one(capsys, command, flag):
+    assert cli.main([command, "--preset", "s3", flag, "2"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: commdeg {command}: unrecognized arguments: {flag} 2\n"
+
+
+@pytest.mark.parametrize("command", sorted(_FLAG_TABLE))
+def test_help_lists_exactly_the_table(capsys, command):
+    with pytest.raises(SystemExit) as stop:
+        cli.main([command, "--help"])
+    assert stop.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == _FLAG_TABLE[command] | _SOURCE_FLAGS | {"-h", "--help"}
+
+
+def test_straight_power_has_two_spellings_defaulting_to_two():
+    parse = cli.build_parser().parse_args
+    assert parse(["straight", "--preset", "so3"]).n == 2
+    assert parse(["straight", "--preset", "so3", "-n", "3"]).n == 3
+    assert parse(["straight", "--preset", "so3", "--n", "4"]).n == 4
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("degree", ["--p", "3"]),
+    ("tower", ["--depth", "2"]),
+    ("straight", ["--dim", "2"]),
+    ("estimate", ["--n", "4"]),
+])
+def test_preset_parameters_with_a_group_file_exit_one(tmp_path, capsys, command, flags):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"kind": "preset", "name": "s3"}))
+    assert cli.main([command, "--group", str(path), *flags]) == 1
+    assert capsys.readouterr().err == (
+        f"error: a --group file reads no preset parameters: {flags[0]}\n")
+
+
+@pytest.mark.parametrize("flags", [["--n", "4"], ["--p", "3"]])
+def test_estimate_refuses_finite_parameters_on_a_sampler_preset(capsys, flags):
+    argv = ["estimate", "--preset", "dihedral", "--trials", "1000", *flags]
+    assert cli.main(argv) == 1
+    assert "reads only --dim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    ("degree", {"kind": "preset"}, "name"),
+    ("degree", {"kind": "product", "a": {"kind": "preset", "name": "s3"}}, "b"),
+    ("tower", {"levels": [{"kind": "preset", "name": "s3"}]}, "bonds"),
+])
+def test_a_missing_key_is_named(tmp_path, capsys, command, doc, key):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([command, "--group", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: input is missing key '{key}'\n"
 
 
 # ---------------------------------------------------------------------------

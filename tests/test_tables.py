@@ -361,7 +361,7 @@ def test_every_order_cap_defaults_to_the_cap():
            and not fn.__name__.startswith("_")]
     defaults = [inspect.signature(fn).parameters["order_cap"].default
                 for fn in fns if "order_cap" in inspect.signature(fn).parameters]
-    defaults.append(cli.RunConfig("degree", preset="s3").order_cap)
+    defaults.append(cli.build_parser().parse_args(["degree", "--preset", "s3"]).order_cap)
     assert len(defaults) >= 9
     assert set(defaults) == {DEFAULT_ORDER_CAP}
 
