@@ -1,8 +1,8 @@
 """Counting kernels over Cayley tables, and the library's one tile policy.
 
 ``BLOCK_ENTRIES`` is read only here. Every table-sized pass in the library
-walks the row tiles of ``row_tiles``, and two kernels here walk square
-tiles, so no temporary grows with n^2. The three counts stay separate
+walks the row tiles of ``row_tiles``, and all three kernels here walk
+square tiles, so no temporary grows with n^2. The three counts stay separate
 computations because the exact routes in ``degrees`` check each other
 through them.
 """
@@ -55,21 +55,48 @@ def count_commuting_pairs(mult):
 def count_commuting_pairs_mn(mult, pm, pn):
     """Number of ordered pairs (x, y) with pm[x] and pn[y] commuting.
 
-    The count is unweighted: it visits every one of the n^2 pairs, so it
-    checks the pushforward route in ``degrees``, which weights each pair of
-    powers by how often it occurs. A row tile x gathers the whole rows pm[x]
-    and the whole columns pm[x], then permutes them by pn.
+    The values pm[x] and pn[y] are sorted and cut at the bounds of the
+    square tiles. Each tile pair (u, v) holding some pm[x] and some pn[y]
+    is compared once, and each pair (x, y) there reads its own entry of the
+    comparison by one gather.
+
+    The count stays unweighted, with no multiplicity of pm or pn: it reads
+    every one of the n^2 pairs on its own, so it checks the pushforward
+    route in ``degrees``, which weights each pair of powers by how often it
+    occurs. Raises ValueError unless pm and pn are integer maps of length n
+    into [0, n).
     """
     mult = np.asarray(mult)
-    pm = np.asarray(pm)
-    pn = np.asarray(pn)
     n = len(mult)
+    height, width = _tile_shape(n)
+    us, u_cut = _cut_at_tiles(pm, n, height, "pm")
+    vs, v_cut = _cut_at_tiles(pn, n, width, "pn")
     total = 0
-    for s, e in row_tiles(n, n):
-        xs = pm[s:e]
-        same = mult[xs].take(pn, axis=1) == mult.take(xs, axis=1)[pn].T
-        total += int(np.count_nonzero(same))
+    for i, s in enumerate(range(0, n, height)):
+        a = us[u_cut[i]:u_cut[i + 1]] - s
+        if not len(a):
+            continue
+        for j, t in enumerate(range(0, n, width)):
+            b = vs[v_cut[j]:v_cut[j + 1]] - t
+            if not len(b):
+                continue
+            same = mult[s:s + height, t:t + width] == mult[t:t + width, s:s + height].T
+            # the row gather same[a] is as wide as the tile
+            for p, q in row_tiles(len(a), max(len(b), width)):
+                total += int(np.count_nonzero(same[a[p:q]][:, b]))
     return total
+
+
+def _cut_at_tiles(image, n, size, name):
+    """The entries of a map into range(n), sorted, and the positions that cut
+    them at the tile bounds 0, size, 2 size, ..."""
+    image = np.asarray(image)
+    if image.shape != (n,) or not np.issubdtype(image.dtype, np.integer):
+        raise ValueError(f"{name} must be an integer map of length {n}")
+    if n and (image.min() < 0 or image.max() >= n):
+        raise ValueError(f"{name} must map into range({n})")
+    image = np.sort(image)
+    return image, np.searchsorted(image, range(0, n + size, size))
 
 
 def centralizer_sizes(mult):

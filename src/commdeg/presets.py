@@ -186,6 +186,8 @@ def alternating(n: int) -> GroupTable:
 
 
 def _elementary_params(params):
+    if "k" in params and "n" in params:
+        raise ValueError("preset 'elementary' reads its rank from k or n, not both")
     return int(params["p"]), int(params.get("k", params.get("n", 1)))
 
 
@@ -196,24 +198,25 @@ def _elementary_order(params):
 
 _FACTORIALS = (1, 1, 2, 6, 24, 120, 720, 5040, 40320)
 
-# name -> (order from the params, builder from the params)
+# name -> (the parameters it reads, order from the params, builder from the params)
 _PRESETS = {
-    "trivial": (lambda params: 1, lambda params: trivial_group()),
-    "cyclic": (lambda params: int(params["n"]), lambda params: cyclic(int(params["n"]))),
-    "klein4": (lambda params: 4, lambda params: klein4()),
-    "quaternion8": (lambda params: 8, lambda params: quaternion8()),
-    "dihedral": (lambda params: 2 * int(params["n"]),
+    "trivial": ((), lambda params: 1, lambda params: trivial_group()),
+    "cyclic": (("n",), lambda params: int(params["n"]), lambda params: cyclic(int(params["n"]))),
+    "klein4": ((), lambda params: 4, lambda params: klein4()),
+    "quaternion8": ((), lambda params: 8, lambda params: quaternion8()),
+    "dihedral": (("n",), lambda params: 2 * int(params["n"]),
                  lambda params: dihedral(int(params["n"]))),
-    "symmetric": (lambda params: _FACTORIALS[_degree("symmetric", int(params["n"]))],
+    "symmetric": (("n",), lambda params: _FACTORIALS[_degree("symmetric", int(params["n"]))],
                   lambda params: symmetric(int(params["n"]))),
-    "alternating": (lambda params: max(1, _FACTORIALS[_degree("alternating",
-                                                              int(params["n"]))] // 2),
+    "alternating": (("n",), lambda params: max(1, _FACTORIALS[_degree("alternating",
+                                                                     int(params["n"]))] // 2),
                     lambda params: alternating(int(params["n"]))),
-    "s3": (lambda params: 6, lambda params: symmetric(3)),
-    "s4": (lambda params: 24, lambda params: symmetric(4)),
-    "a4": (lambda params: 12, lambda params: alternating(4)),
-    "elementary": (_elementary_order, lambda params: elementary(*_elementary_params(params))),
-    "heisenberg-mod": (lambda params: require_prime(int(params["p"])) ** 3,
+    "s3": ((), lambda params: 6, lambda params: symmetric(3)),
+    "s4": ((), lambda params: 24, lambda params: symmetric(4)),
+    "a4": ((), lambda params: 12, lambda params: alternating(4)),
+    "elementary": (("p", "k", "n"), _elementary_order,
+                   lambda params: elementary(*_elementary_params(params))),
+    "heisenberg-mod": (("p",), lambda params: require_prime(int(params["p"])) ** 3,
                        lambda params: heisenberg_level(int(params["p"]), 1)),
 }
 
@@ -223,25 +226,34 @@ def preset_names() -> tuple[str, ...]:
 
 
 def _from_params(name: str, which: int, params: dict | None):
+    """Call the preset's order (which = 1) or builder (which = 2) on params;
+    a parameter the preset does not read raises ValueError."""
     try:
-        fn = _PRESETS[name][which]
+        entry = _PRESETS[name]
     except KeyError:
         raise UnknownPreset(
             f"unknown group preset {name!r}; known: {', '.join(preset_names())}"
         ) from None
+    params = params or {}
+    unread = sorted(set(params) - set(entry[0]))
+    if unread:
+        raise ValueError(
+            f"preset {name!r} does not read {', '.join(unread)}; it reads "
+            + (", ".join(entry[0]) or "no parameters")
+        )
     try:
-        return fn(params or {})
+        return entry[which](params)
     except KeyError as exc:
         raise ValueError(f"preset {name!r} is missing parameter {exc}") from None
 
 
 def preset_order(name: str, params: dict | None = None) -> int:
     """Order of the preset's group, from its params alone: nothing is built."""
-    return _from_params(name, 0, params)
+    return _from_params(name, 1, params)
 
 
 def build_preset(name: str, params: dict | None = None) -> GroupTable:
-    return _from_params(name, 1, params)
+    return _from_params(name, 2, params)
 
 
 __all__ = [

@@ -61,12 +61,12 @@ def oracle_commuting_count_mn(table, m, n_pow) -> int:
 
     pm = [power(g, m) for g in range(n)]
     pn = [power(g, n_pow) for g in range(n)]
-    return sum(
-        1
-        for x in range(n)
-        for y in range(n)
-        if table[pm[x]][pn[y]] == table[pn[y]][pm[x]]
-    )
+    return oracle_commuting_count_maps(table, pm, pn)
+
+
+def oracle_commuting_count_maps(table, pm, pn) -> int:
+    """Pairs (x, y) with pm[x] and pn[y] commuting, one pair at a time."""
+    return sum(1 for u in pm for v in pn if table[u][v] == table[v][u])
 
 
 def oracle_is_associative(table) -> bool:

@@ -341,6 +341,28 @@ def test_estimate_refuses_finite_parameters_on_a_sampler_preset(capsys, flags):
     assert "reads only --dim" in capsys.readouterr().err
 
 
+def test_a_preset_parameter_the_preset_does_not_read_exits_one(tmp_path):
+    out = run_cli("degree", "--preset", "quaternion8", "--p", "3")
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr == (
+        "error: preset 'quaternion8' does not read p; it reads no parameters\n")
+    path = tmp_path / "s4.json"
+    path.write_text(json.dumps({"kind": "preset", "name": "s4", "params": {"n": 5}}))
+    out = run_cli("degree", "--group", str(path))
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr == "error: preset 's4' does not read n; it reads no parameters\n"
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["info", "--preset", "cyclic", "--n", "4", "--p", "2"], "p"),
+    (["degree-mn", "--preset", "heisenberg-mod", "--p", "3", "--n", "2"], "n"),
+    (["estimate", "--preset", "s4", "--dim", "3", "--trials", "1000"], "dim"),
+], ids=["info", "degree-mn", "estimate"])
+def test_unread_preset_parameters_are_named(capsys, argv, unread):
+    assert cli.main(argv) == 1
+    assert f"does not read {unread};" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, doc, key", [
     ("degree", {"kind": "preset"}, "name"),
     ("degree", {"kind": "product", "a": {"kind": "preset", "name": "s3"}}, "b"),

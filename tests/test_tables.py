@@ -326,6 +326,25 @@ def test_every_preset_has_an_order_from_its_params():
         assert presets.preset_order(name, params) == presets.build_preset(name, params).order
 
 
+@pytest.mark.parametrize("name, params, unread", [
+    ("s4", {"n": 5}, "n"), ("quaternion8", {"p": 3}, "p"), ("trivial", {"n": 1}, "n"),
+    ("cyclic", {"n": 4, "k": 2}, "k"), ("dihedral", {"n": 4, "p": 2, "dim": 1}, "dim, p"),
+    ("heisenberg-mod", {"p": 3, "n": 2}, "n"), ("elementary", {"p": 3, "k": 2, "dim": 2}, "dim"),
+], ids=["s4", "quaternion8", "trivial", "cyclic", "dihedral", "heisenberg-mod", "elementary"])
+def test_a_preset_spec_refuses_parameters_it_does_not_read(name, params, unread):
+    spec = {"kind": "preset", "name": name, "params": params}
+    for build in (build_group, lambda spec: presets.preset_order(name, params),
+                  lambda spec: presets.build_preset(name, params)):
+        with pytest.raises(ValueError, match=f"^preset '{name}' does not read {unread};"):
+            build(spec)
+
+
+def test_elementary_reads_its_rank_from_k_or_n_not_both():
+    assert presets.build_preset("elementary", {"p": 3, "n": 2}).order == 9
+    with pytest.raises(ValueError, match="not both"):
+        presets.preset_order("elementary", {"p": 3, "k": 2, "n": 2})
+
+
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 5), (3, 1), (3, 2), (3, 4), (5, 3), (7, 2),
                                  (11, 2)])
 def test_elementary_adds_digit_by_digit(p, k):
