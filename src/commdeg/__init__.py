@@ -78,6 +78,7 @@ _EXPORTS = {
     "towers": (
         "Tower",
         "TowerReport",
+        "build_tower_preset",
         "cyclic_tower",
         "elementary_tower",
         "fc_class_growth",

@@ -6,9 +6,10 @@ Flags: every subcommand takes ``--group FILE`` or ``--preset NAME``
 (exactly one) and ``--csv FILE``, which switches from the table renderer
 to CSV emission; ``_TABLE`` gives each subcommand the other flags it
 reads and no more, so a flag it would ignore is a usage error.
-``--p/--n/--depth/--dim`` are preset parameters and are refused with
-``--group``; ``-m/-n`` are the power exponents. ``straight`` reads its
-power from one option spelled ``-n`` or ``--n``, defaulting to 2.
+``--p/--n/--depth/--dim`` are preset parameters: ``--group`` refuses them
+all, and every preset (group, tower, sampler, Lie) refuses one it does not
+read. ``-m/-n`` are the power exponents. ``straight`` reads its power from
+one option spelled ``-n`` or ``--n``, defaulting to 2.
 
 CSV schemas:
   degree family: group,order,method,num,den,approx
@@ -19,7 +20,7 @@ mismatch, 3 numeric non-convergence.
 
 A subcommand imports only its own modules: each ``cmd_*`` function
 imports what it runs when it is called, so ``import commdeg.cli`` loads
-no numpy and, for example, ``straight`` loads ``lie`` alone.
+no numpy and, for example, ``straight`` loads ``lie`` and no group code.
 """
 from __future__ import annotations
 
@@ -36,14 +37,7 @@ from commdeg.errors import (
     CrossCheckMismatch,
     ModulusViolation,
     NonConvergence,
-    UnknownPreset,
 )
-
-
-def _fmt(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(
-        value.numerator
-    )
 
 
 def _approx(value: Fraction) -> str:
@@ -94,14 +88,14 @@ def cmd_degree(args) -> int:
     if len(values) != 1:
         raise CrossCheckMismatch(
             "exact methods disagree: "
-            + ", ".join(f"{r.method}={_fmt(r.value)}" for r in reports)
+            + ", ".join(f"{r.method}={r.value!s}" for r in reports)
         )
     if args.csv_path:
         _write_csv(args.csv_path, _DEGREE_HEADER, _degree_rows(reports))
         return 0
     print(f"group: {G.name}  order: {G.order}")
     for r in reports:
-        print(f"  {r.method:<16} {_fmt(r.value)}  ({_approx(r.value)})")
+        print(f"  {r.method:<16} {r.value!s}  ({_approx(r.value)})")
     return 0
 
 
@@ -113,18 +107,14 @@ def cmd_degree_mn(args) -> int:
     pushed = degree_mn_pushforward(G, args.m, args.n)
     if direct.value != pushed.value:
         raise CrossCheckMismatch(
-            f"pair count {_fmt(direct.value)} != pushforward {_fmt(pushed.value)}"
+            f"pair count {direct.value!s} != pushforward {pushed.value!s}"
         )
     if args.csv_path:
         _write_csv(args.csv_path, _DEGREE_HEADER, _degree_rows([direct, pushed]))
         return 0
     print(f"group: {G.name}  order: {G.order}  m={args.m} n={args.n}")
-    print(f"  d_mn = {_fmt(direct.value)}  ({_approx(direct.value)})  [both routes]")
+    print(f"  d_mn = {direct.value!s}  ({_approx(direct.value)})  [both routes]")
     return 0
-
-
-# Tower presets by name; ``NAME`` is built by ``towers.NAME_tower``.
-_TOWER_PRESETS = ("cyclic", "elementary", "heisenberg")
 
 
 def cmd_tower(args) -> int:
@@ -133,16 +123,7 @@ def cmd_tower(args) -> int:
     if args.group is not None:
         tower = schemas.load_tower(args.group, args.order_cap)
     else:
-        if args.preset not in _TOWER_PRESETS:
-            raise UnknownPreset(
-                f"unknown tower preset {args.preset!r}; known: " + ", ".join(_TOWER_PRESETS)
-            )
-        builder = getattr(towers, f"{args.preset}_tower")
-        p = args.params.get("p")
-        if p is None:
-            raise ValueError("tower presets need --p")
-        depth = args.params.get("depth", 2)
-        tower = builder(int(p), int(depth), order_cap=args.order_cap)
+        tower = towers.build_tower_preset(args.preset, args.params, args.order_cap)
     report = towers.tower_degrees(tower, args.m, args.n)
     if args.csv_path:
         rows = [
@@ -154,21 +135,20 @@ def cmd_tower(args) -> int:
         return 0
     print(f"tower: {tower.name}  m={args.m} n={args.n}")
     for k, (order, d) in enumerate(zip(report.per_level_orders, report.degrees)):
-        print(f"  level {k + 1}: order {order:<6} d = {_fmt(d)}  ({_approx(d)})")
+        print(f"  level {k + 1}: order {order:<6} d = {d!s}  ({_approx(d)})")
     print("  antitone: OK")
     if report.stabilized_value is not None:
-        print(f"  stabilized at {_fmt(report.stabilized_value)}"
+        print(f"  stabilized at {report.stabilized_value!s}"
               f" (last {towers.STABILIZATION_LEVELS} levels agree)")
     return 0
 
 
 def cmd_straight(args) -> int:
     from commdeg.lie import build_lie_preset, straightness_verdict
+    from commdeg.schemas import load_certificates
 
     if args.group is not None:
-        from commdeg import schemas
-
-        preset = schemas.load_certificates(args.group)
+        preset = load_certificates(args.group)
     else:
         preset = build_lie_preset(args.preset, args.params)
     n = args.n
@@ -194,24 +174,15 @@ def cmd_straight(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    from commdeg.sampler import estimate_degree_mn, estimate_finite, get_sampler_preset
+    from commdeg import sampler
 
-    est = None
-    if args.preset is not None:
-        try:
-            sampler_preset = get_sampler_preset(args.preset, dim=args.params.get("dim", 1))
-        except UnknownPreset:
-            sampler_preset = None
-        if sampler_preset is not None:
-            # "dihedral" also names the finite D_n, whose n a user may mean
-            if args.params.keys() & {"p", "n"}:
-                raise ValueError(
-                    f"sampler preset {args.preset!r} reads only --dim, not --p/--n"
-                )
-            est = estimate_degree_mn(sampler_preset, args.m, args.n, args.trials, args.seed)
-    if est is None:
+    # a sampler preset name wins: "dihedral" here is O(2), not the finite D_n
+    if args.preset in sampler._PRESETS:
+        preset = sampler.get_sampler_preset(args.preset, **args.params)
+        est = sampler.estimate_degree_mn(preset, args.m, args.n, args.trials, args.seed)
+    else:
         G = _load_group(args)
-        est = estimate_finite(G, args.m, args.n, args.trials, args.seed)
+        est = sampler.estimate_finite(G, args.m, args.n, args.trials, args.seed)
     if args.csv_path:
         row = (est.preset, est.m, est.n, est.trials, est.seed,
                f"{est.mean:.12g}", f"{est.stderr:.12g}",
@@ -222,7 +193,7 @@ def cmd_estimate(args) -> int:
     print(f"preset: {est.preset}  m={est.m} n={est.n}  trials={est.trials} seed={est.seed}")
     print(f"  mean = {est.mean:.6f}  stderr = {est.stderr:.6f}")
     if est.exact is not None:
-        print(f"  exact = {_fmt(est.exact)}  ({_approx(est.exact)})"
+        print(f"  exact = {est.exact!s}  ({_approx(est.exact)})"
               f"  deviation = {est.sigma_off:.2f} sigma [{est.consistency}]")
     return 0
 
@@ -256,7 +227,7 @@ def cmd_info(args) -> int:
     print(f"  conjugacy classes:       {len(classes)}  sizes {sorted(len(c) for c in classes)}")
     print(f"  commutator subgroup:     {gp.order}")
     print(f"  char. abelian subgroup:  {ag.order}")
-    print(f"  commutativity degree:    {_fmt(d)}  ({_approx(d)})")
+    print(f"  commutativity degree:    {d!s}  ({_approx(d)})")
     return 0
 
 

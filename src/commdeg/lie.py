@@ -9,11 +9,12 @@ families exhaust the relevant eigenvalue patterns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, gcd, pi, sin
+from math import cos, gcd, inf, pi, sin
 
 import numpy as np
 
-from commdeg.errors import ModulusViolation, NonConvergence, UnknownPreset
+from commdeg.errors import ModulusViolation, NonConvergence
+from commdeg.schemas import build_named
 
 DEFAULT_TOL = 1e-9
 _MODULUS_TOL = 1e-6
@@ -87,10 +88,24 @@ def adjoint_eigenvalues(e: LieElement) -> np.ndarray:
     return e._eigs
 
 
-def is_singular(e: LieElement, n: int, tol: float = DEFAULT_TOL) -> bool:
-    """True iff some adjoint eigenvalue is an n-th root of unity other than 1."""
+def _check(n: int, tol: float) -> None:
+    """Refuse a power below 1, a tol that is not finite and positive and,
+    for n >= 2, a tol of at least sin(pi/n), half the distance from 1 to the
+    nearest other n-th root of unity, where "other than 1" cannot be told."""
     if n < 1:
         raise ValueError("power must be >= 1")
+    if not 0 < tol < inf:
+        raise ValueError(f"tol must be finite and positive, not {tol!r}")
+    if n >= 2 and tol >= sin(pi / n):
+        raise ValueError(
+            f"tol {tol!r} cannot tell {n}-th roots of unity from 1:"
+            f" it must be below sin(pi/{n}) = {sin(pi / n):.6g}"
+        )
+
+
+def is_singular(e: LieElement, n: int, tol: float = DEFAULT_TOL) -> bool:
+    """True iff some adjoint eigenvalue is an n-th root of unity other than 1."""
+    _check(n, tol)
     eigs = adjoint_eigenvalues(e)
     return bool(np.any((np.abs(eigs**n - 1.0) < tol) & (np.abs(eigs - 1.0) >= tol)))
 
@@ -102,8 +117,7 @@ def is_totally_singular(e: LieElement, n: int, tol: float = DEFAULT_TOL) -> bool
     Returns False when the declared order is unknown; straightness_verdict
     records those certificates as indeterminate.
     """
-    if n < 1:
-        raise ValueError("power must be >= 1")
+    _check(n, tol)
     if e.declared_order is None or n % e.declared_order != 0:
         return False
     eigs = adjoint_eigenvalues(e)
@@ -124,6 +138,7 @@ def alpha_matrix(e: LieElement, n: int) -> np.ndarray:
 
 def singular_via_alpha(e: LieElement, n: int, tol: float = DEFAULT_TOL) -> bool:
     """Singularity via non-invertibility of the adjoint power sum."""
+    _check(1, tol)  # tol alone; alpha_matrix checks n
     try:
         smallest = np.linalg.svd(alpha_matrix(e, n), compute_uv=False)[-1]
     except np.linalg.LinAlgError as exc:
@@ -170,6 +185,7 @@ def straightness_verdict(
     Certificate families repeat spectra (every flip of the dihedral preset
     has adjoint [-1]), so each distinct spectrum is formatted once.
     """
+    _check(n, tol)
     witnesses = []
     notes = []
     spectrum_text = {}  # eigs.tobytes() -> str(np.round(eigs, 6))
@@ -287,23 +303,14 @@ def su2_preset(grid: int = GRID) -> LiePreset:
     return LiePreset(name="su2", dim=3, certificates=tuple(certs), component_count=1)
 
 
+# name -> (the parameters it reads, builder from the params)
 _PRESETS = {
-    "torus": lambda params: torus_preset(int(params.get("dim", 1))),
-    "continuous-dihedral": lambda params: continuous_dihedral_preset(),
-    "so3": lambda params: so3_preset(),
-    "su2": lambda params: su2_preset(),
+    "torus": (("dim",), lambda params: torus_preset(int(params.get("dim", 1)))),
+    "continuous-dihedral": ((), lambda params: continuous_dihedral_preset()),
+    "so3": ((), lambda params: so3_preset()),
+    "su2": ((), lambda params: su2_preset()),
 }
 
 
-def lie_preset_names() -> tuple[str, ...]:
-    return tuple(sorted(_PRESETS))
-
-
 def build_lie_preset(name: str, params: dict | None = None) -> LiePreset:
-    try:
-        builder = _PRESETS[name]
-    except KeyError:
-        raise UnknownPreset(
-            f"unknown Lie preset {name!r}; known: {', '.join(lie_preset_names())}"
-        ) from None
-    return builder(params or {})
+    return build_named("Lie", _PRESETS, name, params)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from commdeg.errors import NotPrime, UnknownPreset
+from commdeg.errors import NotPrime
 from commdeg.groups import (
     GroupTable,
     direct_product,
@@ -15,6 +15,7 @@ from commdeg.groups import (
     table_from_rows,
     trivial_group,
 )
+from commdeg.schemas import build_named
 
 
 def is_prime(p: int) -> bool:
@@ -188,12 +189,7 @@ def alternating(n: int) -> GroupTable:
 def _elementary_params(params):
     if "k" in params and "n" in params:
         raise ValueError("preset 'elementary' reads its rank from k or n, not both")
-    return int(params["p"]), int(params.get("k", params.get("n", 1)))
-
-
-def _elementary_order(params):
-    p, k = _elementary_params(params)
-    return require_prime(p) ** k
+    return require_prime(int(params["p"])), int(params.get("k", params.get("n", 1)))
 
 
 _FACTORIALS = (1, 1, 2, 6, 24, 120, 720, 5040, 40320)
@@ -214,7 +210,7 @@ _PRESETS = {
     "s3": ((), lambda params: 6, lambda params: symmetric(3)),
     "s4": ((), lambda params: 24, lambda params: symmetric(4)),
     "a4": ((), lambda params: 12, lambda params: alternating(4)),
-    "elementary": (("p", "k", "n"), _elementary_order,
+    "elementary": (("p", "k", "n"), lambda params: pow(*_elementary_params(params)),
                    lambda params: elementary(*_elementary_params(params))),
     "heisenberg-mod": (("p",), lambda params: require_prime(int(params["p"])) ** 3,
                        lambda params: heisenberg_level(int(params["p"]), 1)),
@@ -225,35 +221,13 @@ def preset_names() -> tuple[str, ...]:
     return tuple(sorted(_PRESETS))
 
 
-def _from_params(name: str, which: int, params: dict | None):
-    """Call the preset's order (which = 1) or builder (which = 2) on params;
-    a parameter the preset does not read raises ValueError."""
-    try:
-        entry = _PRESETS[name]
-    except KeyError:
-        raise UnknownPreset(
-            f"unknown group preset {name!r}; known: {', '.join(preset_names())}"
-        ) from None
-    params = params or {}
-    unread = sorted(set(params) - set(entry[0]))
-    if unread:
-        raise ValueError(
-            f"preset {name!r} does not read {', '.join(unread)}; it reads "
-            + (", ".join(entry[0]) or "no parameters")
-        )
-    try:
-        return entry[which](params)
-    except KeyError as exc:
-        raise ValueError(f"preset {name!r} is missing parameter {exc}") from None
-
-
 def preset_order(name: str, params: dict | None = None) -> int:
     """Order of the preset's group, from its params alone: nothing is built."""
-    return _from_params(name, 1, params)
+    return build_named("group", _PRESETS, name, params, which=1)
 
 
 def build_preset(name: str, params: dict | None = None) -> GroupTable:
-    return _from_params(name, 2, params)
+    return build_named("group", _PRESETS, name, params)
 
 
 __all__ = [

@@ -64,8 +64,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from commdeg.errors import PresetMismatch, UnknownPreset
+from commdeg.errors import PresetMismatch
 from commdeg.rng import gaussians_from_uniforms, to_uniform, words
+from commdeg.schemas import build_named
 
 if TYPE_CHECKING:
     from commdeg.groups import GroupTable
@@ -403,23 +404,24 @@ class ProductPreset:
         return acc
 
 
-def get_sampler_preset(name: str, dim: int = 1):
-    if name == "torus":
-        return TorusPreset(dim)
-    if name == "dihedral":
-        return DihedralPreset()
-    if name == "so3":
-        return QuaternionPreset(so3=True)
-    if name == "su2":
-        return QuaternionPreset(so3=False)
-    if name == "torus-x-quaternion8":
-        from commdeg.presets import quaternion8
+def _torus_x_quaternion8():
+    from commdeg.presets import quaternion8
 
-        return ProductPreset(name, [TorusPreset(1), FinitePreset(quaternion8())])
-    raise UnknownPreset(
-        f"unknown sampler preset {name!r}; known: dihedral, so3, su2, torus,"
-        " torus-x-quaternion8"
-    )
+    return ProductPreset("torus-x-quaternion8", [TorusPreset(1), FinitePreset(quaternion8())])
+
+
+# name -> (the parameters it reads, builder from the params)
+_PRESETS = {
+    "torus": (("dim",), lambda params: TorusPreset(params.get("dim", 1))),
+    "dihedral": ((), lambda params: DihedralPreset()),
+    "so3": ((), lambda params: QuaternionPreset(so3=True)),
+    "su2": ((), lambda params: QuaternionPreset(so3=False)),
+    "torus-x-quaternion8": ((), lambda params: _torus_x_quaternion8()),
+}
+
+
+def get_sampler_preset(name: str, **params):
+    return build_named("sampler", _PRESETS, name, params)
 
 
 @cache

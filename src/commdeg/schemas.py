@@ -15,13 +15,16 @@ language-neutral.
 
 Each loader imports the modules it builds from when it is called, so a
 certificate document loads ``lie`` alone.
+
+``build_named`` is every preset family's lookup; it lives here because
+this module imports only ``json`` and ``errors``.
 """
 from __future__ import annotations
 
 import json
 from typing import TYPE_CHECKING
 
-from commdeg.errors import DEFAULT_ORDER_CAP
+from commdeg.errors import DEFAULT_ORDER_CAP, UnknownPreset
 
 if TYPE_CHECKING:
     from commdeg.actions import FiniteAction
@@ -35,6 +38,31 @@ def _load(path) -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return doc
+
+
+def build_named(family: str, table: dict, name: str, params: dict | None = None,
+                which: int = -1, **context):
+    """``table[name][which](params, **context)``, where an entry is (the
+    parameters it reads, *functions of the params), its builder last. An
+    unknown name raises UnknownPreset; a parameter the preset does not read,
+    or one it reads but was not given, raises ValueError."""
+    try:
+        entry = table[name]
+    except KeyError:
+        raise UnknownPreset(
+            f"unknown {family} preset {name!r}; known: {', '.join(sorted(table))}"
+        ) from None
+    params = params or {}
+    unread = sorted(set(params) - set(entry[0]))
+    if unread:
+        raise ValueError(
+            f"preset {name!r} does not read {', '.join(unread)}; it reads "
+            + (", ".join(entry[0]) or "no parameters")
+        )
+    try:
+        return entry[which](params, **context)
+    except KeyError as exc:
+        raise ValueError(f"preset {name!r} is missing parameter {exc}") from None
 
 
 def _listed(doc, key, item, what):

@@ -46,7 +46,7 @@ from commdeg.groups import (
 )
 from commdeg.kernels import row_tiles
 from commdeg.presets import build_preset, preset_order
-from commdeg.schemas import _listed
+from commdeg.schemas import _listed, _load
 
 
 def _unsigned(bound):
@@ -230,9 +230,8 @@ def build_group(spec: dict, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
 
 
 def load_group_spec(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
-    if not isinstance(spec, dict) or "kind" not in spec:
+    spec = _load(path)
+    if "kind" not in spec:
         raise ValueError(f"{path}: not a group spec document")
     return spec
 

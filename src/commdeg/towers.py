@@ -32,6 +32,7 @@ from commdeg.groups import (
     require_order,
 )
 from commdeg.presets import cyclic, elementary, heisenberg_level, require_prime
+from commdeg.schemas import build_named
 
 # A tower has stabilized when this many of its last levels share a degree.
 STABILIZATION_LEVELS = 2
@@ -132,6 +133,21 @@ def cyclic_tower(
         image = np.arange(hi.order) % (p**k)
         bonds.append(Homomorphism(hi, lo, image))
     return Tower(tuple(levels), tuple(bonds), name=f"cyclic(p={p})")
+
+
+# name -> (the parameters it reads, builder from the params and order cap)
+_PRESETS = {
+    name: (("p", "depth"), lambda params, order_cap, build=build: build(
+        int(params["p"]), int(params.get("depth", 2)), order_cap=order_cap))
+    for name, build in (("cyclic", cyclic_tower), ("elementary", elementary_tower),
+                        ("heisenberg", heisenberg_tower))
+}
+
+
+def build_tower_preset(name: str, params: dict | None = None,
+                       order_cap: int = DEFAULT_ORDER_CAP) -> Tower:
+    """A named tower: each reads the prime ``p`` and ``depth`` (default 2)."""
+    return build_named("tower", _PRESETS, name, params, order_cap=order_cap)
 
 
 def tower_degrees(t: Tower, m: int = 1, n: int = 1) -> TowerReport:

@@ -62,6 +62,12 @@ def test_straight_dihedral_not_straight():
     assert "flip" in out.stdout
 
 
+@pytest.mark.parametrize("tol", ["0", "nan", "5"])
+def test_straight_refuses_a_tol_that_cannot_decide(capsys, tol):
+    assert cli.main(["straight", "--preset", "continuous-dihedral", "--n", "2", "--tol", tol]) == 1
+    assert capsys.readouterr().err.startswith("error: tol ")
+
+
 def test_straight_torus_straight():
     out = run_cli("straight", "--preset", "torus", "--dim", "2", "--n", "4")
     assert out.returncode == 0
@@ -197,9 +203,20 @@ def test_exit_code_one_on_missing_file():
     assert "error" in out.stderr
 
 
-def test_exit_code_one_on_unknown_preset():
+def test_exit_code_one_on_unknown_preset(capsys):
     out = run_cli("degree", "--preset", "monster")
     assert out.returncode == 1
+    assert out.stderr.startswith("error: unknown group preset 'monster'; known: a4, ")
+    # a name that is no sampler preset is a finite group to estimate
+    for argv, message in [
+        (["estimate", "--preset", "monster"], "unknown group preset 'monster'; known: a4, "),
+        (["tower", "--preset", "monster", "--p", "2"],
+         "unknown tower preset 'monster'; known: cyclic, elementary, heisenberg\n"),
+        (["straight", "--preset", "monster"],
+         "unknown Lie preset 'monster'; known: continuous-dihedral, so3, su2, torus\n"),
+    ]:
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_exit_code_one_on_both_sources(tmp_path):
@@ -338,10 +355,10 @@ def test_preset_parameters_with_a_group_file_exit_one(tmp_path, capsys, command,
 def test_estimate_refuses_finite_parameters_on_a_sampler_preset(capsys, flags):
     argv = ["estimate", "--preset", "dihedral", "--trials", "1000", *flags]
     assert cli.main(argv) == 1
-    assert "reads only --dim" in capsys.readouterr().err
+    assert f"preset 'dihedral' does not read {flags[0][2:]}" in capsys.readouterr().err
 
 
-def test_a_preset_parameter_the_preset_does_not_read_exits_one(tmp_path):
+def test_a_preset_parameter_the_preset_does_not_read_exits_one(tmp_path, capsys):
     out = run_cli("degree", "--preset", "quaternion8", "--p", "3")
     assert (out.returncode, out.stdout) == (1, "")
     assert out.stderr == (
@@ -351,13 +368,20 @@ def test_a_preset_parameter_the_preset_does_not_read_exits_one(tmp_path):
     out = run_cli("degree", "--group", str(path))
     assert (out.returncode, out.stdout) == (1, "")
     assert out.stderr == "error: preset 's4' does not read n; it reads no parameters\n"
+    assert cli.main(["tower", "--preset", "cyclic", "--depth", "2"]) == 1
+    assert capsys.readouterr().err == "error: preset 'cyclic' is missing parameter 'p'\n"
 
 
 @pytest.mark.parametrize("argv, unread", [
     (["info", "--preset", "cyclic", "--n", "4", "--p", "2"], "p"),
     (["degree-mn", "--preset", "heisenberg-mod", "--p", "3", "--n", "2"], "n"),
     (["estimate", "--preset", "s4", "--dim", "3", "--trials", "1000"], "dim"),
-], ids=["info", "degree-mn", "estimate"])
+    (["estimate", "--preset", "dihedral", "--dim", "3"], "dim"),
+    (["estimate", "--preset", "torus-x-quaternion8", "--dim", "2"], "dim"),
+    (["straight", "--preset", "so3", "--dim", "4"], "dim"),
+    (["straight", "--preset", "continuous-dihedral", "--dim", "2"], "dim"),
+], ids=["info", "degree-mn", "estimate", "estimate-dihedral", "estimate-torus-x-quaternion8",
+        "straight-so3", "straight-continuous-dihedral"])
 def test_unread_preset_parameters_are_named(capsys, argv, unread):
     assert cli.main(argv) == 1
     assert f"does not read {unread};" in capsys.readouterr().err
@@ -409,6 +433,8 @@ def loaded_modules(*args):
     # 1000 trials are one sub-chunk
     (("estimate", "--preset", "dihedral", "-m", "1", "-n", "1", "--trials", "1000"),
      {"concurrent.futures"}),
+    (("tower", "--preset", "heisenberg", "--p", "2", "--depth", "2"),
+     {"commdeg.lie", "commdeg.sampler"}),
 ])
 def test_subcommand_loads_only_its_own_modules(args, absent):
     loaded = loaded_modules(*args)

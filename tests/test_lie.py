@@ -5,7 +5,7 @@ from math import cos, pi, sin
 import numpy as np
 import pytest
 
-from commdeg.errors import ModulusViolation
+from commdeg.errors import ModulusViolation, UnknownPreset
 from commdeg.lie import (
     LieElement,
     LiePreset,
@@ -136,6 +136,22 @@ def test_total_singularity_implies_singularity():
                     assert is_singular(cert, n)
 
 
+@pytest.mark.parametrize("tol, n", [
+    (0.0, 2), (-1e-9, 2), (float("nan"), 2), (float("inf"), 2), (5.0, 2), (1.0, 2),
+    (sin(pi / 3), 3), (0.5, 6),
+])
+def test_a_tol_that_cannot_decide_is_refused(tol, n):
+    preset = continuous_dihedral_preset()
+    for check in (lambda: is_singular(flip_element(), n, tol),
+                  lambda: is_totally_singular(flip_element(), n, tol),
+                  lambda: straightness_verdict(preset, n, tol)):
+        with pytest.raises(ValueError, match="^tol "):
+            check()
+    if not 0 < tol < float("inf"):
+        with pytest.raises(ValueError, match="^tol must be finite and positive"):
+            singular_via_alpha(flip_element(), n, tol)
+
+
 def test_order_consistency_validated():
     with pytest.raises(ValueError):
         LieElement([[-1.0]], declared_order=3)  # (-1)^3 != 1
@@ -155,6 +171,8 @@ def test_unknown_order_blocks_total_singularity():
 def test_dihedral_not_two_straight():
     v = straightness_verdict(continuous_dihedral_preset(), 2)
     assert not v.straight
+    # just below sin(pi/2) = 1 a flip is still told apart from 1
+    assert not straightness_verdict(continuous_dihedral_preset(), 2, 0.999).straight
     assert all("flip" in w[0].label for w in v.witnesses)
     assert len(v.witnesses) == 360
     assert "certificate" in v.caveat
@@ -196,7 +214,8 @@ def test_preset_requires_component_coverage():
 def test_build_lie_preset_names():
     assert build_lie_preset("torus", {"dim": 2}).dim == 2
     assert build_lie_preset("so3").component_count == 1
-    with pytest.raises(Exception):
+    with pytest.raises(UnknownPreset, match="^unknown Lie preset 'nope'; known: "
+                       "continuous-dihedral, so3, su2, torus$"):
         build_lie_preset("nope")
 
 

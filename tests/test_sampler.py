@@ -497,7 +497,8 @@ def test_preset_mismatch_raises():
 
 
 def test_unknown_preset():
-    with pytest.raises(UnknownPreset):
+    with pytest.raises(UnknownPreset, match="^unknown sampler preset 'lorentz'; known: "
+                       "dihedral, so3, su2, torus, torus-x-quaternion8$"):
         get_sampler_preset("lorentz")
 
 

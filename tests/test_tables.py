@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import commdeg
-from commdeg import cli, groups, kernels, presets, schemas, specs, towers
+from commdeg import cli, groups, kernels, lie, presets, sampler, schemas, specs, towers
 from commdeg.actions import FiniteAction, conjugation_action, translation_action
 from commdeg.degrees import (
     degree_bruteforce,
@@ -326,17 +326,29 @@ def test_every_preset_has_an_order_from_its_params():
         assert presets.preset_order(name, params) == presets.build_preset(name, params).order
 
 
-@pytest.mark.parametrize("name, params, unread", [
-    ("s4", {"n": 5}, "n"), ("quaternion8", {"p": 3}, "p"), ("trivial", {"n": 1}, "n"),
-    ("cyclic", {"n": 4, "k": 2}, "k"), ("dihedral", {"n": 4, "p": 2, "dim": 1}, "dim, p"),
-    ("heisenberg-mod", {"p": 3, "n": 2}, "n"), ("elementary", {"p": 3, "k": 2, "dim": 2}, "dim"),
-], ids=["s4", "quaternion8", "trivial", "cyclic", "dihedral", "heisenberg-mod", "elementary"])
-def test_a_preset_spec_refuses_parameters_it_does_not_read(name, params, unread):
-    spec = {"kind": "preset", "name": name, "params": params}
-    for build in (build_group, lambda spec: presets.preset_order(name, params),
-                  lambda spec: presets.build_preset(name, params)):
+def _group_builds(name, params):
+    return (lambda: build_group({"kind": "preset", "name": name, "params": params}),
+            lambda: presets.preset_order(name, params),
+            lambda: presets.build_preset(name, params))
+
+
+@pytest.mark.parametrize("name, params, unread, builds", [
+    ("s4", {"n": 5}, "n", _group_builds), ("quaternion8", {"p": 3}, "p", _group_builds),
+    ("trivial", {"n": 1}, "n", _group_builds), ("cyclic", {"n": 4, "k": 2}, "k", _group_builds),
+    ("dihedral", {"n": 4, "p": 2, "dim": 1}, "dim, p", _group_builds),
+    ("heisenberg-mod", {"p": 3, "n": 2}, "n", _group_builds),
+    ("elementary", {"p": 3, "k": 2, "dim": 2}, "dim", _group_builds),
+    ("so3", {"dim": 2}, "dim",
+     lambda name, params: [lambda: sampler.get_sampler_preset(name, **params)]),
+    ("su2", {"dim": 3}, "dim", lambda name, params: [lambda: lie.build_lie_preset(name, params)]),
+    ("cyclic", {"p": 2, "n": 3}, "n",
+     lambda name, params: [lambda: towers.build_tower_preset(name, params)]),
+], ids=["s4", "quaternion8", "trivial", "cyclic", "dihedral", "heisenberg-mod", "elementary",
+        "sampler-so3", "lie-su2", "tower-cyclic"])
+def test_a_preset_spec_refuses_parameters_it_does_not_read(name, params, unread, builds):
+    for build in builds(name, params):
         with pytest.raises(ValueError, match=f"^preset '{name}' does not read {unread};"):
-            build(spec)
+            build()
 
 
 def test_elementary_reads_its_rank_from_k_or_n_not_both():
