@@ -16,7 +16,7 @@ from operator import mul
 import numpy as np
 
 from commdeg.degrees import Distribution, _probability_vector
-from commdeg.groups import GroupTable, Subgroup, _frozen, _private, check_action, orbit_partition
+from commdeg.groups import GroupTable, Subgroup, _frozen, check_action, orbit_partition
 from commdeg.kernels import row_tiles
 
 
@@ -29,7 +29,7 @@ class FiniteAction:
     __slots__ = ("group", "set_size", "act")
 
     def __init__(self, group: GroupTable, act):
-        act = check_action(group, _private(act))
+        act = check_action(group, act)
         self.group = group
         self.set_size = act.shape[1]
         self.act = _frozen(act)

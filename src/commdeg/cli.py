@@ -4,12 +4,15 @@ Subcommands: degree, degree-mn, tower, straight, estimate, info.
 
 Flags: every subcommand takes ``--group FILE`` or ``--preset NAME``
 (exactly one) and ``--csv FILE``, which switches from the table renderer
-to CSV emission; ``_TABLE`` gives each subcommand the other flags it
+to CSV emission; ``_COMMANDS`` gives each subcommand the other flags it
 reads and no more, so a flag it would ignore is a usage error.
 ``--p/--n/--depth/--dim`` are preset parameters: ``--group`` refuses them
 all, and every preset (group, tower, sampler, Lie) refuses one it does not
 read. ``-m/-n`` are the power exponents. ``straight`` reads its power from
 one option spelled ``-n`` or ``--n``, defaulting to 2.
+
+Each ``cmd_*`` function writes nothing: it returns its CSV header, its CSV
+rows and its text lines, and ``main`` writes the CSV or prints the lines.
 
 CSV schemas:
   degree family: group,order,method,num,den,approx
@@ -44,136 +47,104 @@ def _approx(value: Fraction) -> str:
     return f"{float(value):.12g}"
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _degree_rows(reports):
-    return [
-        (r.group_name, r.group_order, r.method, r.value.numerator,
-         r.value.denominator, _approx(r.value))
-        for r in reports
-    ]
-
-
 _DEGREE_HEADER = ["group", "order", "method", "num", "den", "approx"]
-_ESTIMATE_HEADER = [
-    "preset", "m", "n", "trials", "seed", "mean", "stderr", "exact_num", "exact_den",
-]
+
+
+def _degree_row(name, order, method, value: Fraction):
+    return (name, order, method, value.numerator, value.denominator, _approx(value))
+
+
+def _source(args, from_file, from_preset):
+    """``from_file(path)`` for ``--group`` or ``from_preset(name, params)``
+    for ``--preset``: the one choice between the two sources."""
+    if args.group is not None:
+        return from_file(args.group)
+    return from_preset(args.preset, args.params)
 
 
 def _load_group(args):
     from commdeg.specs import build_group, load_group_spec
 
-    if args.group is not None:
-        spec = load_group_spec(args.group)
-    else:
-        spec = {"kind": "preset", "name": args.preset, "params": args.params}
+    spec = _source(args, load_group_spec,
+                   lambda name, params: {"kind": "preset", "name": name, "params": params})
     return build_group(spec, args.order_cap)
 
 
-def cmd_degree(args) -> int:
+def _agree(reports):
+    """The exact routes' reports, if they all give one value; otherwise
+    CrossCheckMismatch naming the group, every route and its value."""
+    if len({r.value for r in reports}) != 1:
+        raise CrossCheckMismatch(
+            f"exact routes disagree on {reports[0].group_name}"
+            f" (order {reports[0].group_order}): "
+            + ", ".join(f"{r.method}={r.value!s}" for r in reports)
+        )
+    return reports
+
+
+def cmd_degree(args):
     from commdeg.degrees import degree_bruteforce, degree_centralizer_sum, degree_structural
 
     G = _load_group(args)
-    reports = [
-        degree_bruteforce(G),
-        degree_centralizer_sum(G),
-        degree_structural(G),
-    ]
-    values = {r.value for r in reports}
-    if len(values) != 1:
-        raise CrossCheckMismatch(
-            "exact methods disagree: "
-            + ", ".join(f"{r.method}={r.value!s}" for r in reports)
-        )
-    if args.csv_path:
-        _write_csv(args.csv_path, _DEGREE_HEADER, _degree_rows(reports))
-        return 0
-    print(f"group: {G.name}  order: {G.order}")
-    for r in reports:
-        print(f"  {r.method:<16} {r.value!s}  ({_approx(r.value)})")
-    return 0
+    reports = _agree([degree_bruteforce(G), degree_centralizer_sum(G), degree_structural(G)])
+    return _DEGREE_HEADER, [_degree_row(G.name, G.order, r.method, r.value) for r in reports], [
+        f"group: {G.name}  order: {G.order}",
+        *(f"  {r.method:<16} {r.value!s}  ({_approx(r.value)})" for r in reports)]
 
 
-def cmd_degree_mn(args) -> int:
+def cmd_degree_mn(args):
     from commdeg.degrees import degree_mn, degree_mn_pushforward
 
     G = _load_group(args)
-    direct = degree_mn(G, args.m, args.n)
-    pushed = degree_mn_pushforward(G, args.m, args.n)
-    if direct.value != pushed.value:
-        raise CrossCheckMismatch(
-            f"pair count {direct.value!s} != pushforward {pushed.value!s}"
-        )
-    if args.csv_path:
-        _write_csv(args.csv_path, _DEGREE_HEADER, _degree_rows([direct, pushed]))
-        return 0
-    print(f"group: {G.name}  order: {G.order}  m={args.m} n={args.n}")
-    print(f"  d_mn = {direct.value!s}  ({_approx(direct.value)})  [both routes]")
-    return 0
+    reports = _agree([degree_mn(G, args.m, args.n), degree_mn_pushforward(G, args.m, args.n)])
+    d = reports[0].value
+    return _DEGREE_HEADER, [_degree_row(G.name, G.order, r.method, r.value) for r in reports], [
+        f"group: {G.name}  order: {G.order}  m={args.m} n={args.n}",
+        f"  d_mn = {d!s}  ({_approx(d)})  [both routes]"]
 
 
-def cmd_tower(args) -> int:
+def cmd_tower(args):
     from commdeg import schemas, towers
 
-    if args.group is not None:
-        tower = schemas.load_tower(args.group, args.order_cap)
-    else:
-        tower = towers.build_tower_preset(args.preset, args.params, args.order_cap)
+    tower = _source(args, lambda path: schemas.load_tower(path, args.order_cap),
+                    lambda name, params: towers.build_tower_preset(name, params, args.order_cap))
     report = towers.tower_degrees(tower, args.m, args.n)
-    if args.csv_path:
-        rows = [
-            (f"{tower.name}:L{k + 1}", order, "bruteforce",
-             d.numerator, d.denominator, _approx(d))
-            for k, (order, d) in enumerate(zip(report.per_level_orders, report.degrees))
-        ]
-        _write_csv(args.csv_path, _DEGREE_HEADER, rows)
-        return 0
-    print(f"tower: {tower.name}  m={args.m} n={args.n}")
-    for k, (order, d) in enumerate(zip(report.per_level_orders, report.degrees)):
-        print(f"  level {k + 1}: order {order:<6} d = {d!s}  ({_approx(d)})")
-    print("  antitone: OK")
+    levels = list(enumerate(zip(report.per_level_orders, report.degrees), start=1))
+    lines = [f"tower: {tower.name}  m={args.m} n={args.n}"]
+    lines += [f"  level {k}: order {order:<6} d = {d!s}  ({_approx(d)})"
+              for k, (order, d) in levels]
+    lines.append("  antitone: OK")
     if report.stabilized_value is not None:
-        print(f"  stabilized at {report.stabilized_value!s}"
-              f" (last {towers.STABILIZATION_LEVELS} levels agree)")
-    return 0
+        lines.append(f"  stabilized at {report.stabilized_value!s}"
+                     f" (last {towers.STABILIZATION_LEVELS} levels agree)")
+    return _DEGREE_HEADER, [_degree_row(f"{tower.name}:L{k}", order, "bruteforce", d)
+                            for k, (order, d) in levels], lines
 
 
-def cmd_straight(args) -> int:
+def cmd_straight(args):
     from commdeg.lie import build_lie_preset, straightness_verdict
     from commdeg.schemas import load_certificates
 
-    if args.group is not None:
-        preset = load_certificates(args.group)
-    else:
-        preset = build_lie_preset(args.preset, args.params)
+    preset = _source(args, load_certificates, build_lie_preset)
     n = args.n
     verdict = straightness_verdict(preset, n, args.tol)
-    if args.csv_path:
-        rows = [(preset.name, n, int(verdict.straight), len(verdict.witnesses),
-                 verdict.witnesses[0][0].label if verdict.witnesses else "")]
-        _write_csv(args.csv_path, ["preset", "n", "straight", "witnesses", "first_witness"], rows)
-        return 0
     if verdict.straight:
-        print(f"{preset.name}: straight for n={n} ({verdict.caveat})")
+        first = ""
+        lines = [f"{preset.name}: straight for n={n} ({verdict.caveat})"]
     else:
-        first = verdict.witnesses[0][0]
-        print(
+        first = verdict.witnesses[0][0].label
+        lines = [
             f"{preset.name}: NOT n-straight for n={n};"
-            f" witnesses: {len(verdict.witnesses)} certificate(s), e.g. {first.label}"
-        )
-        print(f"  reason: {verdict.witnesses[0][2]}")
-        print(f"  ({verdict.caveat})")
-    for note in verdict.notes[:3]:
-        print(f"  note: {note}")
-    return 0
+            f" witnesses: {len(verdict.witnesses)} certificate(s), e.g. {first}",
+            f"  reason: {verdict.witnesses[0][2]}",
+            f"  ({verdict.caveat})",
+        ]
+    lines += [f"  note: {note}" for note in verdict.notes[:3]]
+    return (["preset", "n", "straight", "witnesses", "first_witness"],
+            [(preset.name, n, int(verdict.straight), len(verdict.witnesses), first)], lines)
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args):
     from commdeg import sampler
 
     # a sampler preset name wins: "dihedral" here is O(2), not the finite D_n
@@ -183,22 +154,19 @@ def cmd_estimate(args) -> int:
     else:
         G = _load_group(args)
         est = sampler.estimate_finite(G, args.m, args.n, args.trials, args.seed)
-    if args.csv_path:
-        row = (est.preset, est.m, est.n, est.trials, est.seed,
-               f"{est.mean:.12g}", f"{est.stderr:.12g}",
-               est.exact.numerator if est.exact is not None else "",
-               est.exact.denominator if est.exact is not None else "")
-        _write_csv(args.csv_path, _ESTIMATE_HEADER, [row])
-        return 0
-    print(f"preset: {est.preset}  m={est.m} n={est.n}  trials={est.trials} seed={est.seed}")
-    print(f"  mean = {est.mean:.6f}  stderr = {est.stderr:.6f}")
-    if est.exact is not None:
-        print(f"  exact = {est.exact!s}  ({_approx(est.exact)})"
-              f"  deviation = {est.sigma_off:.2f} sigma [{est.consistency}]")
-    return 0
+    exact = est.exact
+    lines = [f"preset: {est.preset}  m={est.m} n={est.n}  trials={est.trials} seed={est.seed}",
+             f"  mean = {est.mean:.6f}  stderr = {est.stderr:.6f}"]
+    if exact is not None:
+        lines.append(f"  exact = {exact!s}  ({_approx(exact)})"
+                     f"  deviation = {est.sigma_off:.2f} sigma [{est.consistency}]")
+    row = (est.preset, est.m, est.n, est.trials, est.seed, f"{est.mean:.12g}", f"{est.stderr:.12g}",
+           *((exact.numerator, exact.denominator) if exact is not None else ("", "")))
+    return (["preset", "m", "n", "trials", "seed", "mean", "stderr", "exact_num", "exact_den"],
+            [row], lines)
 
 
-def cmd_info(args) -> int:
+def cmd_info(args):
     from commdeg.degrees import degree_bruteforce
     from commdeg.groups import (
         center,
@@ -213,36 +181,22 @@ def cmd_info(args) -> int:
     gp = commutator_subgroup(G)
     ag = characteristic_abelian_subgroup(G)
     d = degree_bruteforce(G).value
-    if args.csv_path:
-        _write_csv(
-            args.csv_path,
-            ["group", "order", "abelian", "center", "classes", "commutator",
-             "char_abelian", "num", "den", "approx"],
-            [(G.name, G.order, int(G.is_abelian()), z.order, len(classes),
-              gp.order, ag.order, d.numerator, d.denominator, _approx(d))],
-        )
-        return 0
-    print(f"group: {G.name}  order: {G.order}  abelian: {G.is_abelian()}")
-    print(f"  center order:            {z.order}")
-    print(f"  conjugacy classes:       {len(classes)}  sizes {sorted(len(c) for c in classes)}")
-    print(f"  commutator subgroup:     {gp.order}")
-    print(f"  char. abelian subgroup:  {ag.order}")
-    print(f"  commutativity degree:    {d!s}  ({_approx(d)})")
-    return 0
+    return (
+        ["group", "order", "abelian", "center", "classes", "commutator",
+         "char_abelian", "num", "den", "approx"],
+        [(G.name, G.order, int(G.is_abelian()), z.order, len(classes),
+          gp.order, ag.order, d.numerator, d.denominator, _approx(d))],
+        [f"group: {G.name}  order: {G.order}  abelian: {G.is_abelian()}",
+         f"  center order:            {z.order}",
+         f"  conjugacy classes:       {len(classes)}  sizes {sorted(len(c) for c in classes)}",
+         f"  commutator subgroup:     {gp.order}",
+         f"  char. abelian subgroup:  {ag.order}",
+         f"  commutativity degree:    {d!s}  ({_approx(d)})"],
+    )
 
 
-_COMMANDS = {
-    "degree": cmd_degree,
-    "degree-mn": cmd_degree_mn,
-    "tower": cmd_tower,
-    "straight": cmd_straight,
-    "estimate": cmd_estimate,
-    "info": cmd_info,
-}
-
-
-# Every subcommand takes --group, --preset and --csv, then its flags in
-# _TABLE; one option may have several spellings, joined by "/".
+# Every subcommand takes --group, --preset and --csv, then the flags listed
+# in _COMMANDS; one option may have several spellings, joined by "/".
 _FLAGS = {
     "--group": dict(metavar="FILE", help="JSON input document"),
     "--preset": dict(metavar="NAME", help="named preset"),
@@ -260,13 +214,15 @@ _FLAGS = {
                         help="lower the order cap for the loaded group"),
     "--tol": dict(type=float, default=1e-9),
 }
-_TABLE = {
-    "degree": ("--p", "--n", "--order-cap"),
-    "degree-mn": ("--p", "--n", "-m", "-n", "--order-cap"),
-    "tower": ("--p", "--depth", "-m", "-n", "--order-cap"),
-    "straight": ("--dim", "--tol", "-n/--n"),
-    "estimate": ("--p", "--n", "--dim", "-m", "-n", "--trials", "--seed", "--order-cap"),
-    "info": ("--p", "--n", "--order-cap"),
+# subcommand -> (its function, its flags besides --group, --preset and --csv)
+_COMMANDS = {
+    "degree": (cmd_degree, ("--p", "--n", "--order-cap")),
+    "degree-mn": (cmd_degree_mn, ("--p", "--n", "-m", "-n", "--order-cap")),
+    "tower": (cmd_tower, ("--p", "--depth", "-m", "-n", "--order-cap")),
+    "straight": (cmd_straight, ("--dim", "--tol", "-n/--n")),
+    "estimate": (cmd_estimate,
+                 ("--p", "--n", "--dim", "-m", "-n", "--trials", "--seed", "--order-cap")),
+    "info": (cmd_info, ("--p", "--n", "--order-cap")),
 }
 
 
@@ -286,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         sub = subs.add_parser(name, allow_abbrev=False)
-        for flag in ("--group", "--preset", "--csv") + _TABLE[name]:
+        for flag in ("--group", "--preset", "--csv") + flags:
             sub.add_argument(*flag.split("/"), **_FLAGS[flag])
     return parser
 
@@ -314,7 +270,15 @@ def main(argv=None) -> int:
             raise ValueError("powers must be >= 1")
         if getattr(args, "trials", 100) < 100:
             raise ValueError("--trials must be at least 100")
-        return _COMMANDS[args.subcommand](args)
+        header, rows, lines = _COMMANDS[args.subcommand][0](args)
+        if args.csv_path:
+            with open(args.csv_path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
+        else:
+            print("\n".join(lines))
+        return 0
     except (CrossCheckMismatch, AntitoneViolation) as exc:
         print(f"cross-check error: {exc}", file=sys.stderr)
         return 2

@@ -51,12 +51,21 @@ def require_order(n, cap=DEFAULT_ORDER_CAP):
         raise OrderCapExceeded(f"order {n} exceeds the order cap {cap}")
 
 
-def _private(arr, dtype=np.int32):
-    """``arr`` as a C-contiguous array of ``dtype`` that no caller can write
-    to. A conversion is a new array already, and a read-only array that
-    owns its memory (such as another table's ``mult``) is shared; only a
-    writable array or a view of someone else's memory is copied."""
-    out = np.ascontiguousarray(arr, dtype=dtype)
+def _private(arr):
+    """``arr`` as a C-contiguous int32 array that no caller can write to. A
+    conversion is a new array already, and a read-only array that owns its
+    memory (such as another table's ``mult``) is shared; only a writable
+    array or a view of someone else's memory is copied. This is where
+    group-sized integer arrays enter, so a non-empty array of anything but
+    integers, or with an entry outside int32, raises ValueError: a cast
+    would truncate a float, parse a string or wrap a large integer."""
+    out = np.asarray(arr)
+    if out.size and out.dtype != np.int32:
+        if out.dtype.kind not in "iu":
+            raise ValueError(f"expected integer entries, not {out.dtype} ones")
+        if out.min() < np.iinfo(np.int32).min or out.max() > np.iinfo(np.int32).max:
+            raise ValueError("integer entries must fit in int32")
+    out = np.ascontiguousarray(out, dtype=np.int32)
     if out.base is not None or (out is arr and out.flags.writeable):
         out = out.copy()
     return out
@@ -488,7 +497,8 @@ def direct_product(A: GroupTable, B: GroupTable) -> GroupTable:
 
 def check_action(G: GroupTable, act) -> np.ndarray:
     """Validate one permutation of a point set per element of G, acting by
-    act[g h] = act[g] o act[h]; return it as int32 or raise InvalidAction.
+    act[g h] = act[g] o act[h]; return it as a ``_private`` int32 array or
+    raise InvalidAction (or ValueError, from ``_private``).
 
     Entries in range, the identity acting trivially and the law for h in
     G.generators (the h that pass are closed under multiplication) prove
@@ -496,7 +506,7 @@ def check_action(G: GroupTable, act) -> np.ndarray:
     permutation. On failure the rows are sorted only to classify it: not a
     permutation, then the identity, then the law, in that order.
     """
-    act = np.ascontiguousarray(act, dtype=np.int32)
+    act = _private(act)
     if act.ndim != 2 or act.shape[0] != G.order:
         raise InvalidAction("action table must have one row per group element")
     points = act.shape[1]

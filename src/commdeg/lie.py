@@ -220,16 +220,21 @@ def straightness_verdict(
 GRID = 360
 
 
-def _angle_order(k: int, grid: int) -> int:
-    return 1 if k % grid == 0 else grid // gcd(k, grid)
-
-
 def _rotation3(theta: float) -> np.ndarray:
     c, s = cos(theta), sin(theta)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def torus_preset(dim: int = 1, grid: int = GRID) -> LiePreset:
+def _grid(label, adjoint, count=GRID, component=0, order=None) -> list[LieElement]:
+    """Certificates ``label(k/count)`` for k < count, with adjoint
+    ``adjoint(k)`` and ``order``, or else the order of k/count of a turn,
+    count / gcd(k, count) (1 at k = 0, as gcd(0, count) = count)."""
+    return [LieElement(adjoint(k), declared_order=order or count // gcd(k, count),
+                       label=f"{label}({k}/{count})", component=component)
+            for k in range(count)]
+
+
+def torus_preset(dim: int = 1) -> LiePreset:
     """T^dim. The adjoint of every element is the identity (abelian), so the
     spectrum is {1}; no certificate can ever satisfy the root-of-unity
     criterion and the preset is straight for every n.
@@ -237,17 +242,13 @@ def torus_preset(dim: int = 1, grid: int = GRID) -> LiePreset:
     if not 1 <= dim <= 3:
         raise ValueError("torus preset supports dim 1..3")
     eye = np.eye(dim)
-    certs = [
-        LieElement(eye, declared_order=_angle_order(k, grid),
-                   label=f"t({k}/{grid})", component=0)
-        for k in range(grid)
-    ]
+    certs = _grid("t", lambda k: eye)
     certs.append(LieElement(eye, declared_order=None, label="t(generic)", component=0))
     return LiePreset(name=f"torus{dim}", dim=dim, certificates=tuple(certs),
                      component_count=1)
 
 
-def continuous_dihedral_preset(grid: int = GRID) -> LiePreset:
+def continuous_dihedral_preset() -> LiePreset:
     """The circle extended by the inversion flip; Lie algebra dimension 1.
 
     Rotation-component certificates have adjoint [1] (never singular); every
@@ -255,57 +256,38 @@ def continuous_dihedral_preset(grid: int = GRID) -> LiePreset:
     inverts the circle coordinate, so one flip family covers the whole
     second component: each of its members is totally singular for even n.
     """
-    rot = [
-        LieElement(np.array([[1.0]]), declared_order=_angle_order(k, grid),
-                   label=f"rot({k}/{grid})", component=0)
-        for k in range(grid)
-    ]
+    rot = _grid("rot", lambda k: np.array([[1.0]]))
     rot.append(LieElement(np.array([[1.0]]), declared_order=None,
                           label="rot(generic)", component=0))
-    flips = [
-        LieElement(np.array([[-1.0]]), declared_order=2,
-                   label=f"flip({k}/{grid})", component=1)
-        for k in range(grid)
-    ]
+    flips = _grid("flip", lambda k: np.array([[-1.0]]), component=1, order=2)
     return LiePreset(name="continuous-dihedral", dim=1,
                      certificates=tuple(rot + flips), component_count=2)
 
 
-def so3_preset(grid: int = GRID) -> LiePreset:
+def so3_preset() -> LiePreset:
     """SO(3). Every element is conjugate to a z-axis rotation, whose adjoint
     spectrum is {1, e^{i theta}, e^{-i theta}}; the guaranteed eigenvalue 1
     blocks total singularity for every n, so the rotation family is an
     exhaustive certificate set.
     """
-    certs = [
-        LieElement(_rotation3(2.0 * pi * k / grid),
-                   declared_order=_angle_order(k, grid),
-                   label=f"R({k}/{grid})", component=0)
-        for k in range(grid)
-    ]
+    certs = _grid("R", lambda k: _rotation3(2.0 * pi * k / GRID))
     return LiePreset(name="so3", dim=3, certificates=tuple(certs), component_count=1)
 
 
-def su2_preset(grid: int = GRID) -> LiePreset:
+def su2_preset() -> LiePreset:
     """SU(2), dim 3. An element with half-angle phi has adjoint equal to the
     rotation by 2*phi, spectrum {1, e^{2i phi}, e^{-2i phi}}; as for SO(3)
     the eigenvalue 1 blocks total singularity for every n. Half-angles run
     over a double grid so the central element -1 appears.
     """
-    certs = []
-    for k in range(2 * grid):
-        half = pi * k / grid  # half-angle; adjoint rotates by 2 * half
-        order = 1 if k == 0 else (2 * grid) // gcd(k, 2 * grid)
-        certs.append(
-            LieElement(_rotation3(2.0 * half), declared_order=order,
-                       label=f"q({k}/{2 * grid})", component=0)
-        )
+    # half-angle pi k / GRID; the adjoint rotates by twice it
+    certs = _grid("q", lambda k: _rotation3(2.0 * (pi * k / GRID)), count=2 * GRID)
     return LiePreset(name="su2", dim=3, certificates=tuple(certs), component_count=1)
 
 
 # name -> (the parameters it reads, builder from the params)
 _PRESETS = {
-    "torus": (("dim",), lambda params: torus_preset(int(params.get("dim", 1)))),
+    "torus": (("dim",), lambda params: torus_preset(params.get("dim", 1))),
     "continuous-dihedral": ((), lambda params: continuous_dihedral_preset()),
     "so3": ((), lambda params: so3_preset()),
     "su2": ((), lambda params: su2_preset()),

@@ -189,7 +189,7 @@ def alternating(n: int) -> GroupTable:
 def _elementary_params(params):
     if "k" in params and "n" in params:
         raise ValueError("preset 'elementary' reads its rank from k or n, not both")
-    return require_prime(int(params["p"])), int(params.get("k", params.get("n", 1)))
+    return require_prime(params["p"]), params.get("k", params.get("n", 1))
 
 
 _FACTORIALS = (1, 1, 2, 6, 24, 120, 720, 5040, 40320)
@@ -197,23 +197,22 @@ _FACTORIALS = (1, 1, 2, 6, 24, 120, 720, 5040, 40320)
 # name -> (the parameters it reads, order from the params, builder from the params)
 _PRESETS = {
     "trivial": ((), lambda params: 1, lambda params: trivial_group()),
-    "cyclic": (("n",), lambda params: int(params["n"]), lambda params: cyclic(int(params["n"]))),
+    "cyclic": (("n",), lambda params: params["n"], lambda params: cyclic(params["n"])),
     "klein4": ((), lambda params: 4, lambda params: klein4()),
     "quaternion8": ((), lambda params: 8, lambda params: quaternion8()),
-    "dihedral": (("n",), lambda params: 2 * int(params["n"]),
-                 lambda params: dihedral(int(params["n"]))),
-    "symmetric": (("n",), lambda params: _FACTORIALS[_degree("symmetric", int(params["n"]))],
-                  lambda params: symmetric(int(params["n"]))),
-    "alternating": (("n",), lambda params: max(1, _FACTORIALS[_degree("alternating",
-                                                                     int(params["n"]))] // 2),
-                    lambda params: alternating(int(params["n"]))),
+    "dihedral": (("n",), lambda params: 2 * params["n"], lambda params: dihedral(params["n"])),
+    "symmetric": (("n",), lambda params: _FACTORIALS[_degree("symmetric", params["n"])],
+                  lambda params: symmetric(params["n"])),
+    "alternating": (("n",),
+                    lambda params: max(1, _FACTORIALS[_degree("alternating", params["n"])] // 2),
+                    lambda params: alternating(params["n"])),
     "s3": ((), lambda params: 6, lambda params: symmetric(3)),
     "s4": ((), lambda params: 24, lambda params: symmetric(4)),
     "a4": ((), lambda params: 12, lambda params: alternating(4)),
     "elementary": (("p", "k", "n"), lambda params: pow(*_elementary_params(params)),
                    lambda params: elementary(*_elementary_params(params))),
-    "heisenberg-mod": (("p",), lambda params: require_prime(int(params["p"])) ** 3,
-                       lambda params: heisenberg_level(int(params["p"]), 1)),
+    "heisenberg-mod": (("p",), lambda params: require_prime(params["p"]) ** 3,
+                       lambda params: heisenberg_level(params["p"], 1)),
 }
 
 

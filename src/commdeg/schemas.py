@@ -22,6 +22,7 @@ this module imports only ``json`` and ``errors``.
 from __future__ import annotations
 
 import json
+from numbers import Integral
 from typing import TYPE_CHECKING
 
 from commdeg.errors import DEFAULT_ORDER_CAP, UnknownPreset
@@ -40,19 +41,35 @@ def _load(path) -> dict:
     return doc
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int, which a document must give as an integer: a
+    float, a string, a bool or null raises ValueError rather than being
+    truncated, parsed or read as 0 or 1."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return int(value)
+
+
 def build_named(family: str, table: dict, name: str, params: dict | None = None,
                 which: int = -1, **context):
     """``table[name][which](params, **context)``, where an entry is (the
-    parameters it reads, *functions of the params), its builder last. An
-    unknown name raises UnknownPreset; a parameter the preset does not read,
-    or one it reads but was not given, raises ValueError."""
+    parameters it reads, *functions of the params), its builder last. A name
+    that is not a string, params that are not a dict and a parameter value
+    that is not an integer raise ValueError; an unknown name raises
+    UnknownPreset; a parameter the preset does not read, or one it reads but
+    was not given, raises ValueError."""
+    if not isinstance(name, str):
+        raise ValueError(f"a {family} preset name must be a string, not {name!r}")
+    if not isinstance(params, (dict, type(None))):
+        raise ValueError(f"preset {name!r}: params must be an object, not {params!r}")
     try:
         entry = table[name]
     except KeyError:
         raise UnknownPreset(
             f"unknown {family} preset {name!r}; known: {', '.join(sorted(table))}"
         ) from None
-    params = params or {}
+    params = {key: _integer(value, f"preset {name!r} parameter {key!r}")
+              for key, value in (params or {}).items()}
     unread = sorted(set(params) - set(entry[0]))
     if unread:
         raise ValueError(
@@ -68,7 +85,9 @@ def build_named(family: str, table: dict, name: str, params: dict | None = None,
 def _listed(doc, key, item, what):
     """doc[key], which a document must give as a list of ``item`` values."""
     value = doc[key]
-    if not (isinstance(value, list) and all(isinstance(v, item) for v in value)):
+    # a bool is an int to isinstance, and no document means one as an index
+    if not (isinstance(value, list)
+            and all(isinstance(v, item) and not isinstance(v, bool) for v in value)):
         raise ValueError(f"{what}: {key!r} must be a list of {item.__name__}s")
     return value
 
@@ -114,7 +133,7 @@ def certificates_from_doc(doc: dict) -> LiePreset:
     certs = []
     for entry in _listed(doc, "certificates", dict, "certificate document"):
         order = entry.get("order", "unknown")
-        declared = None if order == "unknown" else int(order)
+        declared = None if order == "unknown" else _integer(order, "certificate order")
         rows = _listed(entry, "adjoint", list, "certificate")
         adjoint = [[float(v) for v in row] for row in rows]
         certs.append(
@@ -122,14 +141,14 @@ def certificates_from_doc(doc: dict) -> LiePreset:
                 adjoint,
                 declared_order=declared,
                 label=entry.get("label", ""),
-                component=int(entry.get("component", 0)),
+                component=_integer(entry.get("component", 0), "certificate component"),
             )
         )
     return LiePreset(
         name=doc.get("name", "custom"),
-        dim=int(doc["dim"]),
+        dim=_integer(doc["dim"], "certificate dim"),
         certificates=tuple(certs),
-        component_count=int(doc.get("component_count", 1)),
+        component_count=_integer(doc.get("component_count", 1), "component_count"),
     )
 
 

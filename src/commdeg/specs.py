@@ -46,7 +46,7 @@ from commdeg.groups import (
 )
 from commdeg.kernels import row_tiles
 from commdeg.presets import build_preset, preset_order
-from commdeg.schemas import _listed, _load
+from commdeg.schemas import _integer, _listed, _load
 
 
 def _unsigned(bound):
@@ -128,7 +128,7 @@ def permutation_closure(degree, generators, order_cap=DEFAULT_ORDER_CAP, name=No
         raise ValueError("permutation degree must be >= 1")
     gens = []
     for g in generators:
-        g = tuple(int(v) for v in g)
+        g = tuple(_integer(v, "permutation entry") for v in g)
         if sorted(g) != list(range(degree)):
             raise ValueError(f"generator {g} is not a permutation of 0..{degree - 1}")
         gens.append(g)
@@ -161,7 +161,7 @@ def matrix_mod_closure(mod, dim, generators, order_cap=DEFAULT_ORDER_CAP, name=N
     wide = np.int32 if bound <= np.iinfo(np.int32).max else np.int64
     gens = []
     for flat in generators:
-        flat = [int(v) % mod for v in flat]
+        flat = [_integer(v, "matrix entry") % mod for v in flat]
         if len(flat) != dim * dim:
             raise ValueError(f"matrix generator must have {dim * dim} entries")
         gens.append(flat)
@@ -201,12 +201,13 @@ def build_group(spec: dict, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         )
     if kind == "permgen":
         return permutation_closure(
-            int(spec["degree"]), _listed(spec, "generators", list, "permgen spec"),
+            _integer(spec["degree"], "permgen degree"),
+            _listed(spec, "generators", list, "permgen spec"),
             order_cap=order_cap, name=spec.get("name"),
         )
     if kind == "matmodgen":
         return matrix_mod_closure(
-            int(spec["mod"]), int(spec["dim"]),
+            _integer(spec["mod"], "matmodgen mod"), _integer(spec["dim"], "matmodgen dim"),
             _listed(spec, "generators", list, "matmodgen spec"),
             order_cap=order_cap, name=spec.get("name"),
         )

@@ -72,9 +72,19 @@ class TowerReport:
     n: int = 1
 
 
-def _check_depth(depth):
+def _tower(name, p, depth, top_order, order_cap, level, image) -> Tower:
+    """The tower ``name(p=p)`` of levels level(1) .. level(depth), with level
+    k + 1 mapped onto level k by image(k, idx) of its indices idx. The
+    prime, then the depth, then the order cap on ``top_order()`` are
+    checked before any level is built."""
+    require_prime(p)
     if depth < 1 or depth > 4:
         raise ValueError("depth must be between 1 and 4")
+    require_order(top_order(), order_cap)
+    levels = [level(k) for k in range(1, depth + 1)]
+    bonds = [Homomorphism(levels[k], levels[k - 1], image(k, np.arange(levels[k].order)))
+             for k in range(1, depth)]
+    return Tower(tuple(levels), tuple(bonds), name=f"{name}(p={p})")
 
 
 def heisenberg_tower(p: int, depth: int, order_cap: int = DEFAULT_ORDER_CAP) -> Tower:
@@ -83,33 +93,19 @@ def heisenberg_tower(p: int, depth: int, order_cap: int = DEFAULT_ORDER_CAP) -> 
     Bonds reduce a and b mod p^(k-1); the cocycle a*b' mod p only depends
     on a, b' mod p, so every bond is a homomorphism.
     """
-    require_prime(p)
-    _check_depth(depth)
-    require_order(p ** (2 * depth + 1), order_cap)
-    levels = [heisenberg_level(p, k) for k in range(1, depth + 1)]
-    bonds = []
-    for k in range(1, depth):
-        hi, lo = levels[k], levels[k - 1]
+    def image(k, idx):
         qhi, qlo = p**(k + 1), p**k
-        idx = np.arange(hi.order)
         a, b, z = idx // (qhi * p), (idx // p) % qhi, idx % p
-        image = ((a % qlo) * qlo + (b % qlo)) * p + z
-        bonds.append(Homomorphism(hi, lo, image))
-    return Tower(tuple(levels), tuple(bonds), name=f"heisenberg(p={p})")
+        return ((a % qlo) * qlo + (b % qlo)) * p + z
+
+    return _tower("heisenberg", p, depth, lambda: p ** (2 * depth + 1), order_cap,
+                  lambda k: heisenberg_level(p, k), image)
 
 
 def elementary_tower(p: int, depth: int, order_cap: int = DEFAULT_ORDER_CAP) -> Tower:
     """Levels (Z/p)^k with coordinate-forgetting bonds."""
-    require_prime(p)
-    _check_depth(depth)
-    require_order(p**depth, order_cap)
-    levels = [elementary(p, k) for k in range(1, depth + 1)]
-    bonds = []
-    for k in range(1, depth):
-        hi, lo = levels[k], levels[k - 1]
-        image = np.arange(hi.order) % (p**k)
-        bonds.append(Homomorphism(hi, lo, image))
-    return Tower(tuple(levels), tuple(bonds), name=f"elementary(p={p})")
+    return _tower("elementary", p, depth, lambda: p**depth, order_cap,
+                  lambda k: elementary(p, k), lambda k, idx: idx % p**k)
 
 
 def cyclic_tower(
@@ -120,25 +116,17 @@ def cyclic_tower(
     ``start`` picks where the truncation begins; the inverse system of all
     cyclic p-power quotients contains every such window.
     """
-    require_prime(p)
     if start < 1:
         raise ValueError("start exponent must be >= 1")
-    _check_depth(depth)
-    require_order(p ** (start + depth - 1), order_cap)
-    exps = range(start, start + depth)
-    levels = [cyclic(p**k) for k in exps]
-    bonds = []
-    for i, k in enumerate(list(exps)[:-1]):
-        hi, lo = levels[i + 1], levels[i]
-        image = np.arange(hi.order) % (p**k)
-        bonds.append(Homomorphism(hi, lo, image))
-    return Tower(tuple(levels), tuple(bonds), name=f"cyclic(p={p})")
+    return _tower("cyclic", p, depth, lambda: p ** (start + depth - 1), order_cap,
+                  lambda k: cyclic(p ** (start + k - 1)),
+                  lambda k, idx: idx % p ** (start + k - 1))
 
 
 # name -> (the parameters it reads, builder from the params and order cap)
 _PRESETS = {
     name: (("p", "depth"), lambda params, order_cap, build=build: build(
-        int(params["p"]), int(params.get("depth", 2)), order_cap=order_cap))
+        params["p"], params.get("depth", 2), order_cap=order_cap))
     for name, build in (("cyclic", cyclic_tower), ("elementary", elementary_tower),
                         ("heisenberg", heisenberg_tower))
 }

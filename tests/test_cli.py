@@ -111,6 +111,24 @@ def test_csv_golden_files(tmp_path, golden, args):
     assert target.read_text() == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize("golden, command", [
+    ("degree_quaternion8.txt", "degree --preset quaternion8"),
+    ("degree_heisenberg_mod_p3.txt", "degree --preset heisenberg-mod --p 3"),
+    ("degree_mn_s3.txt", "degree-mn --preset s3 -m 2 -n 1"),
+    ("tower_heisenberg_p2.txt", "tower --preset heisenberg --p 2 --depth 2"),
+    ("straight_dihedral_n2.txt", "straight --preset continuous-dihedral --n 2"),
+    ("straight_so3_n3.txt", "straight --preset so3 --n 3"),
+    ("estimate_dihedral_seed7.txt",
+     "estimate --preset dihedral -m 1 -n 1 --trials 100000 --seed 7"),
+    ("info_s4.txt", "info --preset s4"),
+])
+def test_readme_commands_print_their_golden_text(capsys, golden, command):
+    assert cli.main(command.split()) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.encode() == (GOLDEN / golden).read_bytes()
+
+
 def test_info_csv_golden_on_a_product_spec(tmp_path):
     spec = {"kind": "preset", "name": "dihedral", "params": {"n": 4}}
     for _ in range(3):
@@ -187,6 +205,30 @@ def test_exit_code_one_on_out_of_range_index(tmp_path, command, doc):
     ("degree", {"kind": "quotient", "group": _C4, "normal": 5}),
     ("straight", {"dim": 1, "certificates": 5}),
     ("straight", {"dim": 1, "certificates": [{"label": "r", "adjoint": 5}]}),
+    # integers are read exactly: no truncation, parsing, wrapping or bools
+    ("degree", {"kind": "cayley", "table": [[0, 1.9], [1.2, 0]]}),
+    ("degree", {"kind": "cayley", "table": [[0, "1"], ["1", 0]]}),
+    ("degree", {"kind": "cayley", "table": [[0, 4294967297], [1, 0]]}),
+    ("degree", {"kind": "permgen", "degree": 3.7, "generators": [[1, 0, 2]]}),
+    ("degree", {"kind": "permgen", "degree": 3, "generators": [[1.5, 0, 2]]}),
+    ("degree", {"kind": "matmodgen", "mod": 5.5, "dim": 2, "generators": [[1, 1, 0, 1]]}),
+    ("degree", {"kind": "matmodgen", "mod": 5, "dim": 2, "generators": [[1, 1.5, 0, 1]]}),
+    ("degree", {"kind": "preset", "name": "cyclic", "params": {"n": 4.9}}),
+    ("degree", {"kind": "preset", "name": "cyclic", "params": {"n": "5"}}),
+    ("degree", {"kind": "preset", "name": "cyclic", "params": {"n": None}}),
+    ("degree", {"kind": "preset", "name": "cyclic", "params": {"n": True}}),
+    ("degree", {"kind": "preset", "name": "cyclic", "params": [1]}),
+    ("degree", {"kind": "preset", "name": ["x"]}),
+    ("degree", {"kind": "semidirect", "normal": {"kind": "preset", "name": "cyclic",
+                                                 "params": {"n": 3}},
+                "acting": {"kind": "preset", "name": "cyclic", "params": {"n": 2}},
+                "action": [[0, 1, 2], [0, 2.5, 1]]}),
+    ("degree", {"kind": "quotient", "group": _C4, "normal": [0, True]}),
+    ("tower", {"levels": [{"kind": "preset", "name": "cyclic", "params": {"n": 2}}, _C4],
+               "bonds": [[0, 1.0, 0, 1.9]]}),
+    ("straight", {"dim": 1, "certificates": [
+        {"label": "r", "order": 2.5, "adjoint": [["-1.0"]]}]}),
+    ("straight", {"dim": 1.5, "certificates": [{"label": "r", "adjoint": [["1.0"]]}]}),
 ])
 def test_exit_code_one_on_malformed_document(tmp_path, command, doc):
     path = tmp_path / "doc.json"
@@ -233,17 +275,24 @@ def test_exit_code_one_on_bad_cayley(tmp_path):
     assert out.returncode == 1
 
 
-def test_exit_code_two_on_crosscheck_mismatch(monkeypatch, capsys):
+@pytest.mark.parametrize("argv, route, method, named", [
+    (["degree", "--preset", "quaternion8"], "degree_structural", "structural",
+     "Q8 (order 8): bruteforce=5/8, centralizer_sum=5/8, structural=1/2"),
+    (["degree-mn", "--preset", "s3", "-m", "2", "-n", "1"], "degree_mn_pushforward",
+     "pushforward", "S3 (order 6): bruteforce=5/6, pushforward=1/2"),
+], ids=["degree", "degree-mn"])
+def test_exit_code_two_on_crosscheck_mismatch(monkeypatch, capsys, argv, route, method, named):
     from commdeg.degrees import DegreeReport
     from fractions import Fraction
 
-    def broken(G):
-        return DegreeReport(Fraction(1, 2), "structural", G.name, G.order)
+    def broken(G, *powers):
+        return DegreeReport(Fraction(1, 2), method, G.name, G.order, *powers)
 
-    monkeypatch.setattr("commdeg.degrees.degree_structural", broken)
-    rc = cli.main(["degree", "--preset", "quaternion8"])
+    monkeypatch.setattr(f"commdeg.degrees.{route}", broken)
+    rc = cli.main(argv)
     assert rc == 2
-    assert "cross-check" in capsys.readouterr().err
+    # the group and every route with its value
+    assert capsys.readouterr() == ("", f"cross-check error: exact routes disagree on {named}\n")
 
 
 def test_exit_code_three_on_nonconvergence(monkeypatch, capsys):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from commdeg import groups, kernels
-from commdeg.actions import conjugation_action, translation_action
+from commdeg.actions import FiniteAction, conjugation_action, translation_action
 from commdeg.errors import (
     InvalidAction,
     NonAssociative,
@@ -893,6 +893,25 @@ def test_out_of_range_indices_raise_value_error():
             Homomorphism(G, cyclic(2), image)
     with pytest.raises(ValueError, match="out of range"):
         subgroup_generated(G, [1, 99])
+
+
+_WRAPS_TO_1 = 2**32 + 1  # an int32 cast would read it as 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GroupTable([[0, 1.0], [1.0, 0]]),
+    lambda: GroupTable([[0, "1"], ["1", 0]]),
+    lambda: GroupTable([[True, False], [False, True]]),
+    lambda: GroupTable(np.array([[0, _WRAPS_TO_1], [1, 0]])),
+    lambda: Homomorphism(cyclic(2), cyclic(2), [0, 1.5]),
+    lambda: Homomorphism(cyclic(4), cyclic(2), np.array([0, _WRAPS_TO_1, 0, 1])),
+    lambda: FiniteAction(cyclic(2), [[0, 1], [1.0, 0.0]]),
+    lambda: FiniteAction(cyclic(2), np.array([[0, 1], [_WRAPS_TO_1, 0]])),
+], ids=["table-floats", "table-strings", "table-bools", "table-wraps",
+        "image-floats", "image-wraps", "action-floats", "action-wraps"])
+def test_entries_that_are_not_int32_integers_raise_value_error(make):
+    with pytest.raises(ValueError, match="integer"):
+        make()
 
 
 def test_tables_are_frozen(q8):
