@@ -40,6 +40,7 @@ from commdeg.errors import (
     CrossCheckMismatch,
     ModulusViolation,
     NonConvergence,
+    order_cap,
 )
 
 
@@ -67,7 +68,7 @@ def _load_group(args):
 
     spec = _source(args, load_group_spec,
                    lambda name, params: {"kind": "preset", "name": name, "params": params})
-    return build_group(spec, args.order_cap)
+    return build_group(spec)
 
 
 def _agree(reports):
@@ -106,8 +107,7 @@ def cmd_degree_mn(args):
 def cmd_tower(args):
     from commdeg import schemas, towers
 
-    tower = _source(args, lambda path: schemas.load_tower(path, args.order_cap),
-                    lambda name, params: towers.build_tower_preset(name, params, args.order_cap))
+    tower = _source(args, schemas.load_tower, towers.build_tower_preset)
     report = towers.tower_degrees(tower, args.m, args.n)
     levels = list(enumerate(zip(report.per_level_orders, report.degrees), start=1))
     lines = [f"tower: {tower.name}  m={args.m} n={args.n}"]
@@ -270,7 +270,9 @@ def main(argv=None) -> int:
             raise ValueError("powers must be >= 1")
         if getattr(args, "trials", 100) < 100:
             raise ValueError("--trials must be at least 100")
-        header, rows, lines = _COMMANDS[args.subcommand][0](args)
+        # straight builds no group table, so it takes no --order-cap
+        with order_cap(getattr(args, "order_cap", DEFAULT_ORDER_CAP)):
+            header, rows, lines = _COMMANDS[args.subcommand][0](args)
         if args.csv_path:
             with open(args.csv_path, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)

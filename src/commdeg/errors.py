@@ -1,8 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the order cap.
 
 Names follow the error vocabulary of the public contracts; the CLI maps
 them onto exit codes (1 input, 2 cross-check, 3 numeric).
+
+The order cap bounds every group table the package builds: ``ORDER_CAP``
+holds it, ``with order_cap(c):`` lowers it for a block and only
+``groups.require_order`` reads it (``specs.build_group`` says where).
 """
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 
 class CommdegError(Exception):
@@ -22,9 +28,24 @@ class NonAssociative(CommdegError):
     """Associativity failed on some triple of a candidate table."""
 
 
-# The largest group order any table may have: a 1.6 GB int32 table.
-# groups.require_order enforces it; callers may only lower it.
+# The largest group order any table may have (a 1.6 GB int32 table), and
+# the order cap in force, at which a new thread starts.
 DEFAULT_ORDER_CAP = 20000
+ORDER_CAP = ContextVar("ORDER_CAP", default=DEFAULT_ORDER_CAP)
+
+
+@contextmanager
+def order_cap(cap):
+    """Lower the order cap to ``cap`` inside the block, which cannot raise
+    it; the cap in force is restored when the block exits, also on an
+    exception. A cap below 1 raises ValueError: no group fits under it."""
+    if cap < 1:
+        raise ValueError(f"the order cap must be at least 1, not {cap}")
+    token = ORDER_CAP.set(min(cap, ORDER_CAP.get()))
+    try:
+        yield
+    finally:
+        ORDER_CAP.reset(token)
 
 
 class OrderCapExceeded(CommdegError):

@@ -32,7 +32,7 @@ import operator
 import numpy as np
 
 from commdeg.errors import (
-    DEFAULT_ORDER_CAP,
+    ORDER_CAP,
     InvalidAction,
     NonAssociative,
     NotLatin,
@@ -42,11 +42,10 @@ from commdeg.errors import (
 from commdeg.kernels import row_tiles
 
 
-def require_order(n, cap=DEFAULT_ORDER_CAP):
-    """Raise OrderCapExceeded if a group of order ``n`` would exceed ``cap``.
-    A cap above DEFAULT_ORDER_CAP does not raise it: a caller can only
-    lower the cap. This is the one place the cap is enforced."""
-    cap = min(cap, DEFAULT_ORDER_CAP)
+def require_order(n):
+    """Raise OrderCapExceeded if a group of order ``n`` would exceed the cap
+    in force, ``errors.ORDER_CAP``: the one place the cap is enforced."""
+    cap = ORDER_CAP.get()
     if n > cap:
         raise OrderCapExceeded(f"order {n} exceeds the order cap {cap}")
 
@@ -203,6 +202,7 @@ class GroupTable:
     __slots__ = ("order", "mult", "inv", "labels", "name", "generators")
 
     def __init__(self, mult, labels=None, name="G"):
+        require_order(len(mult))  # before a given table is copied
         mult = _private(mult)
         if mult.ndim != 2 or mult.shape[0] != mult.shape[1]:
             raise NotLatin("multiplication table must be square")
@@ -540,9 +540,10 @@ def semidirect_product(N: GroupTable, H: GroupTable, action) -> GroupTable:
     be by automorphisms and a homomorphism into Aut(N) (InvalidAction
     otherwise). The trivial action reproduces direct_product(N, H) exactly.
     """
-    act = _as_action_table(N, H, action)
     nN, nH = N.order, H.order
     n = nN * nH
+    require_order(n)  # before the action, nH rows of nN points, is read
+    act = _as_action_table(N, H, action)
 
     def rows(s, e, _):
         a, h = divmod(np.arange(s, e), nH)

@@ -158,6 +158,9 @@ class LiePreset:
     def __post_init__(self):
         if not self.certificates:
             raise ValueError("certificate list must be non-empty")
+        wrong = next((c for c in self.certificates if c.dim != self.dim), None)
+        if wrong is not None:
+            raise ValueError(f"certificate {wrong.label!r}: adjoint is not {self.dim}x{self.dim}")
         covered = {c.component for c in self.certificates}
         if covered != set(range(self.component_count)):
             raise ValueError(

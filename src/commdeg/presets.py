@@ -5,6 +5,8 @@ bit-identical tables.
 """
 from __future__ import annotations
 
+from math import factorial
+
 import numpy as np
 
 from commdeg.errors import NotPrime
@@ -111,22 +113,12 @@ def heisenberg_level(p: int, k: int) -> GroupTable:
 
 
 def quaternion8() -> GroupTable:
-    """The 8-element quaternion group; indices 1,-1,i,-i,j,-j,k,-k."""
-    units = "1ijk"
-    # (sign, axis) pairs; axis multiplication with sign tracking
-    axis_mul = {
-        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-        ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"), ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
-        ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
-        ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
-    }
-    elems = [(s, u) for u in units for s in (1, -1)]
-    pos = {e: i for i, e in enumerate(elems)}
-    mult = [
-        [pos[(sa * sb * axis_mul[(ua, ub)][0], axis_mul[(ua, ub)][1])] for (sb, ub) in elems]
-        for (sa, ua) in elems
-    ]
-    labels = tuple(("" if s == 1 else "-") + u for (s, u) in elems)
+    """The 8-element quaternion group. Index 2u + s is the unit u of 1, i,
+    j, k with sign (-1)^s, so the indices are 1,-1,i,-i,j,-j,k,-k."""
+    # units[u][v]: the index of u v, e.g. i j = k (6) and j i = -k (7)
+    units = ((0, 2, 4, 6), (2, 1, 6, 5), (4, 7, 1, 2), (6, 4, 3, 1))
+    mult = [[units[x >> 1][y >> 1] ^ (x ^ y) & 1 for y in range(8)] for x in range(8)]
+    labels = tuple(("-" if s else "") + u for u in "1ijk" for s in (0, 1))
     return GroupTable(mult, labels=labels, name="Q8")
 
 
@@ -157,16 +149,18 @@ def _perm_closure_table(degree: int, gens: list[tuple[int, ...]], name: str) -> 
     return permutation_closure(degree, gens, name=name)
 
 
-def _degree(kind: str, n: int) -> int:
-    """n itself, for 1 <= n <= 8. S8 and A8 are past the order cap, so n = 8
-    raises OrderCapExceeded from the order check or the closure search."""
+def _degree(kind: str, n: int, order) -> int:
+    """n itself, for 1 <= n <= 8, once ``order(n)`` is checked against the
+    cap: S8 and A8 are past it, so n = 8 raises OrderCapExceeded before the
+    closure search starts."""
     if not 1 <= n <= 8:
         raise ValueError(f"{kind} preset supports 1 <= n <= 8")
+    require_order(order(n))
     return n
 
 
 def symmetric(n: int) -> GroupTable:
-    if _degree("symmetric", n) == 1:
+    if _degree("symmetric", n, factorial) == 1:
         return GroupTable([[0]], labels=("()",), name="S1")
     gens = [tuple([1, 0] + list(range(2, n)))]
     if n > 2:
@@ -175,7 +169,7 @@ def symmetric(n: int) -> GroupTable:
 
 
 def alternating(n: int) -> GroupTable:
-    if _degree("alternating", n) <= 2:
+    if _degree("alternating", n, lambda n: factorial(n) // 2) <= 2:
         return GroupTable([[0]], labels=("()",), name=f"A{n}")
     gens = [tuple([1, 2, 0] + list(range(3, n)))]
     if n > 3:
@@ -192,37 +186,25 @@ def _elementary_params(params):
     return require_prime(params["p"]), params.get("k", params.get("n", 1))
 
 
-_FACTORIALS = (1, 1, 2, 6, 24, 120, 720, 5040, 40320)
-
-# name -> (the parameters it reads, order from the params, builder from the params)
+# name -> (the parameters it reads, builder from the params)
 _PRESETS = {
-    "trivial": ((), lambda params: 1, lambda params: trivial_group()),
-    "cyclic": (("n",), lambda params: params["n"], lambda params: cyclic(params["n"])),
-    "klein4": ((), lambda params: 4, lambda params: klein4()),
-    "quaternion8": ((), lambda params: 8, lambda params: quaternion8()),
-    "dihedral": (("n",), lambda params: 2 * params["n"], lambda params: dihedral(params["n"])),
-    "symmetric": (("n",), lambda params: _FACTORIALS[_degree("symmetric", params["n"])],
-                  lambda params: symmetric(params["n"])),
-    "alternating": (("n",),
-                    lambda params: max(1, _FACTORIALS[_degree("alternating", params["n"])] // 2),
-                    lambda params: alternating(params["n"])),
-    "s3": ((), lambda params: 6, lambda params: symmetric(3)),
-    "s4": ((), lambda params: 24, lambda params: symmetric(4)),
-    "a4": ((), lambda params: 12, lambda params: alternating(4)),
-    "elementary": (("p", "k", "n"), lambda params: pow(*_elementary_params(params)),
-                   lambda params: elementary(*_elementary_params(params))),
-    "heisenberg-mod": (("p",), lambda params: require_prime(params["p"]) ** 3,
-                       lambda params: heisenberg_level(params["p"], 1)),
+    "trivial": ((), lambda params: trivial_group()),
+    "cyclic": (("n",), lambda params: cyclic(params["n"])),
+    "klein4": ((), lambda params: klein4()),
+    "quaternion8": ((), lambda params: quaternion8()),
+    "dihedral": (("n",), lambda params: dihedral(params["n"])),
+    "symmetric": (("n",), lambda params: symmetric(params["n"])),
+    "alternating": (("n",), lambda params: alternating(params["n"])),
+    "s3": ((), lambda params: symmetric(3)),
+    "s4": ((), lambda params: symmetric(4)),
+    "a4": ((), lambda params: alternating(4)),
+    "elementary": (("p", "k", "n"), lambda params: elementary(*_elementary_params(params))),
+    "heisenberg-mod": (("p",), lambda params: heisenberg_level(params["p"], 1)),
 }
 
 
 def preset_names() -> tuple[str, ...]:
     return tuple(sorted(_PRESETS))
-
-
-def preset_order(name: str, params: dict | None = None) -> int:
-    """Order of the preset's group, from its params alone: nothing is built."""
-    return build_named("group", _PRESETS, name, params, which=1)
 
 
 def build_preset(name: str, params: dict | None = None) -> GroupTable:
@@ -240,7 +222,6 @@ __all__ = [
     "is_prime",
     "klein4",
     "preset_names",
-    "preset_order",
     "quaternion8",
     "require_prime",
     "symmetric",

@@ -11,21 +11,23 @@ Certificates: {"name": "...", "dim": d, "component_count": c,
                                  "adjoint": [["1.0", ...], ...]}, ...]}
 
 Adjoint entries are decimal strings so documents stay exact and
-language-neutral.
+language-neutral; an entry that is a bool or null or reads as nan or an
+infinity raises ValueError naming its certificate.
 
 Each loader imports the modules it builds from when it is called, so a
 certificate document loads ``lie`` alone.
 
 ``build_named`` is every preset family's lookup; it lives here because
-this module imports only ``json`` and ``errors``.
+this module imports only the standard library and ``errors``.
 """
 from __future__ import annotations
 
 import json
+import math
 from numbers import Integral
 from typing import TYPE_CHECKING
 
-from commdeg.errors import DEFAULT_ORDER_CAP, UnknownPreset
+from commdeg.errors import UnknownPreset
 
 if TYPE_CHECKING:
     from commdeg.actions import FiniteAction
@@ -50,14 +52,13 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
-def build_named(family: str, table: dict, name: str, params: dict | None = None,
-                which: int = -1, **context):
-    """``table[name][which](params, **context)``, where an entry is (the
-    parameters it reads, *functions of the params), its builder last. A name
-    that is not a string, params that are not a dict and a parameter value
-    that is not an integer raise ValueError; an unknown name raises
-    UnknownPreset; a parameter the preset does not read, or one it reads but
-    was not given, raises ValueError."""
+def build_named(family: str, table: dict, name: str, params: dict | None = None):
+    """``table[name][1](params)``, where an entry is (the parameters it
+    reads, its builder from the params). A name that is not a string,
+    params that are not a dict and a parameter value that is not an integer
+    raise ValueError; an unknown name raises UnknownPreset; a parameter the
+    preset does not read, or one it reads but was not given, raises
+    ValueError."""
     if not isinstance(name, str):
         raise ValueError(f"a {family} preset name must be a string, not {name!r}")
     if not isinstance(params, (dict, type(None))):
@@ -77,7 +78,7 @@ def build_named(family: str, table: dict, name: str, params: dict | None = None,
             + (", ".join(entry[0]) or "no parameters")
         )
     try:
-        return entry[which](params, **context)
+        return entry[1](params)
     except KeyError as exc:
         raise ValueError(f"preset {name!r} is missing parameter {exc}") from None
 
@@ -92,7 +93,7 @@ def _listed(doc, key, item, what):
     return value
 
 
-def tower_from_doc(doc: dict, order_cap: int = DEFAULT_ORDER_CAP) -> Tower:
+def tower_from_doc(doc: dict) -> Tower:
     from commdeg.groups import Homomorphism
     from commdeg.specs import build_group
     from commdeg.towers import Tower
@@ -100,7 +101,7 @@ def tower_from_doc(doc: dict, order_cap: int = DEFAULT_ORDER_CAP) -> Tower:
     specs, images = _listed(doc, "levels", dict, "tower"), _listed(doc, "bonds", list, "tower")
     if len(images) != len(specs) - 1:
         raise ValueError("a tower needs exactly one bond per adjacent level pair")
-    levels = tuple(build_group(spec, order_cap) for spec in specs)
+    levels = tuple(build_group(spec) for spec in specs)
     bonds = tuple(
         Homomorphism(levels[k + 1], levels[k], image)
         for k, image in enumerate(images)
@@ -108,23 +109,34 @@ def tower_from_doc(doc: dict, order_cap: int = DEFAULT_ORDER_CAP) -> Tower:
     return Tower(levels, bonds, name=doc.get("name", "tower"))
 
 
-def load_tower(path, order_cap: int = DEFAULT_ORDER_CAP) -> Tower:
-    return tower_from_doc(_load(path), order_cap)
+def load_tower(path) -> Tower:
+    return tower_from_doc(_load(path))
 
 
-def action_from_doc(doc: dict, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteAction:
+def action_from_doc(doc: dict) -> FiniteAction:
     from commdeg.actions import FiniteAction
     from commdeg.specs import build_group
 
-    group = build_group(doc["group"], order_cap)
+    group = build_group(doc["group"])
     action = FiniteAction(group, _listed(doc, "act", list, "action"))
     if "set_size" in doc and doc["set_size"] != action.set_size:
         raise ValueError("set_size does not match the action table width")
     return action
 
 
-def load_action(path, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteAction:
-    return action_from_doc(_load(path), order_cap)
+def load_action(path) -> FiniteAction:
+    return action_from_doc(_load(path))
+
+
+def _adjoint_entry(value, label) -> float:
+    """``value``, a decimal string or a number, as a finite float, read
+    through ``str`` so that an int too large for a float is inf. Anything
+    else, a bool included, and nan or an infinity raise ValueError."""
+    number = isinstance(value, (str, int, float)) and not isinstance(value, bool)
+    x = float(str(value)) if number else math.nan
+    if not math.isfinite(x):
+        raise ValueError(f"certificate {label!r}: adjoint entry {value!r} is not a finite number")
+    return x
 
 
 def certificates_from_doc(doc: dict) -> LiePreset:
@@ -134,13 +146,14 @@ def certificates_from_doc(doc: dict) -> LiePreset:
     for entry in _listed(doc, "certificates", dict, "certificate document"):
         order = entry.get("order", "unknown")
         declared = None if order == "unknown" else _integer(order, "certificate order")
+        label = entry.get("label", "")
         rows = _listed(entry, "adjoint", list, "certificate")
-        adjoint = [[float(v) for v in row] for row in rows]
+        adjoint = [[_adjoint_entry(v, label) for v in row] for row in rows]
         certs.append(
             LieElement(
                 adjoint,
                 declared_order=declared,
-                label=entry.get("label", ""),
+                label=label,
                 component=_integer(entry.get("component", 0), "certificate component"),
             )
         )

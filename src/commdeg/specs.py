@@ -35,7 +35,6 @@ import json
 import numpy as np
 
 from commdeg.groups import (
-    DEFAULT_ORDER_CAP,
     GroupTable,
     Subgroup,
     direct_product,
@@ -45,7 +44,7 @@ from commdeg.groups import (
     table_from_rows,
 )
 from commdeg.kernels import row_tiles
-from commdeg.presets import build_preset, preset_order
+from commdeg.presets import build_preset
 from commdeg.schemas import _integer, _listed, _load
 
 
@@ -61,7 +60,7 @@ def _row_bytes(X):
     return (data[i:i + width] for i in range(0, len(data), width))
 
 
-def _closure_table(identity, gens, products, order_cap, name, prefix, labels=None):
+def _closure_table(identity, gens, products, name, prefix, labels=None):
     """Validated group generated by ``gens`` from ``identity``, its elements
     numbered in breadth-first discovery order and its rows gathered from
     their parents' rows (see the module docstring: one dict from element
@@ -90,7 +89,7 @@ def _closure_table(identity, gens, products, order_cap, name, prefix, labels=Non
                     number[key] = count + len(new)
                     new.append(i)
             new = np.array(new, dtype=np.intp)
-            require_order(count + len(new), order_cap)
+            require_order(count + len(new))
             if count + len(new) > len(elems):
                 size = max(2 * len(elems), count + len(new))
                 elems, source = np.resize(elems, (size, d)), np.resize(source, size)
@@ -119,7 +118,7 @@ def _closure_table(identity, gens, products, order_cap, name, prefix, labels=Non
                            name=name or f"{prefix}#{count}")
 
 
-def permutation_closure(degree, generators, order_cap=DEFAULT_ORDER_CAP, name=None):
+def permutation_closure(degree, generators, name=None):
     """Group generated by permutations given as 0-based image tuples.
 
     Composition convention: (p * q)(i) = p(q(i)).
@@ -136,16 +135,13 @@ def permutation_closure(degree, generators, order_cap=DEFAULT_ORDER_CAP, name=No
     def products(X, Y):  # (x * y)(i) = x(y(i))
         return X.take(Y, axis=1)
 
-    return _closure_table(
-        np.arange(degree, dtype=_unsigned(degree)),
-        np.array(gens, dtype=np.intp).reshape(len(gens), degree),
-        products, order_cap,
-        name, f"perm{degree}",
-        labels=lambda E: (str(tuple(row.tolist())) for row in E),
-    )
+    return _closure_table(np.arange(degree, dtype=_unsigned(degree)),
+                          np.array(gens, dtype=np.intp).reshape(len(gens), degree),
+                          products, name, f"perm{degree}",
+                          labels=lambda E: (str(tuple(row.tolist())) for row in E))
 
 
-def matrix_mod_closure(mod, dim, generators, order_cap=DEFAULT_ORDER_CAP, name=None):
+def matrix_mod_closure(mod, dim, generators, name=None):
     """Group generated by dim x dim integer matrices modulo mod.
 
     Products are summed in int32, or in int64 where ``dim * (mod - 1)**2``
@@ -172,60 +168,49 @@ def matrix_mod_closure(mod, dim, generators, order_cap=DEFAULT_ORDER_CAP, name=N
                        dtype=wide, casting="unsafe")
         return np.remainder(XY, mod, out=XY).astype(dtype).reshape(len(X), len(Y), dim * dim)
 
-    return _closure_table(
-        np.eye(dim, dtype=dtype).ravel(),
-        np.array(gens, dtype=dtype).reshape(len(gens), dim * dim),
-        products, order_cap,
-        name, f"mat{dim}mod{mod}",
-    )
+    return _closure_table(np.eye(dim, dtype=dtype).ravel(),
+                          np.array(gens, dtype=dtype).reshape(len(gens), dim * dim),
+                          products, name, f"mat{dim}mod{mod}")
 
 
-def build_group(spec: dict, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+def build_group(spec: dict) -> GroupTable:
     """Elaborate a group spec to a validated GroupTable.
 
-    ``order_cap`` can lower the cap, never raise it. It is checked before
-    the table exists: on the cayley row count, a preset's order from its
-    params, the factor orders of a product or semidirect product, and the
-    closure as it grows.
+    Every table it builds, factors and quotiented groups included, is
+    bounded by the order cap in force, which the ``errors`` module sets.
+    Each constructor checks the cap before it allocates: ``GroupTable`` on
+    a cayley table's row count, a preset from its parameters or its
+    table's order, the closure search as it grows, and a product or
+    semidirect product on the product of the factor orders.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("group spec must be a dict with a 'kind' key")
     kind = spec["kind"]
     if kind == "cayley":
         table = _listed(spec, "table", list, "cayley spec")
-        require_order(len(table), order_cap)
-        return GroupTable(
-            table,
-            labels=spec.get("labels"),
-            name=spec.get("name", f"cayley{len(table)}"),
-        )
+        return GroupTable(table, labels=spec.get("labels"),
+                          name=spec.get("name", f"cayley{len(table)}"))
     if kind == "permgen":
         return permutation_closure(
             _integer(spec["degree"], "permgen degree"),
             _listed(spec, "generators", list, "permgen spec"),
-            order_cap=order_cap, name=spec.get("name"),
+            name=spec.get("name"),
         )
     if kind == "matmodgen":
         return matrix_mod_closure(
             _integer(spec["mod"], "matmodgen mod"), _integer(spec["dim"], "matmodgen dim"),
             _listed(spec, "generators", list, "matmodgen spec"),
-            order_cap=order_cap, name=spec.get("name"),
+            name=spec.get("name"),
         )
     if kind == "preset":
-        name, params = spec["name"], spec.get("params")
-        require_order(preset_order(name, params), order_cap)
-        return build_preset(name, params)
+        return build_preset(spec["name"], spec.get("params"))
     if kind == "product":
-        A, B = build_group(spec["a"], order_cap), build_group(spec["b"], order_cap)
-        require_order(A.order * B.order, order_cap)
-        return direct_product(A, B)
+        return direct_product(build_group(spec["a"]), build_group(spec["b"]))
     if kind == "semidirect":
-        N = build_group(spec["normal"], order_cap)
-        H = build_group(spec["acting"], order_cap)
-        require_order(N.order * H.order, order_cap)
-        return semidirect_product(N, H, spec["action"])
+        return semidirect_product(build_group(spec["normal"]), build_group(spec["acting"]),
+                                  spec["action"])
     if kind == "quotient":
-        G = build_group(spec["group"], order_cap)
+        G = build_group(spec["group"])
         return quotient(G, Subgroup(G, _listed(spec, "normal", int, "quotient spec")))[0]
     raise ValueError(f"unknown group spec kind {kind!r}")
 

@@ -20,7 +20,6 @@ from commdeg.errors import (
     IncompatibleSelector,
 )
 from commdeg.groups import (
-    DEFAULT_ORDER_CAP,
     GroupTable,
     Homomorphism,
     Subgroup,
@@ -29,7 +28,6 @@ from commdeg.groups import (
     conjugacy_classes,
     direct_product,
     power_map,
-    require_order,
 )
 from commdeg.presets import cyclic, elementary, heisenberg_level, require_prime
 from commdeg.schemas import build_named
@@ -72,22 +70,22 @@ class TowerReport:
     n: int = 1
 
 
-def _tower(name, p, depth, top_order, order_cap, level, image) -> Tower:
+def _tower(name, p, depth, level, image) -> Tower:
     """The tower ``name(p=p)`` of levels level(1) .. level(depth), with level
     k + 1 mapped onto level k by image(k, idx) of its indices idx. The
-    prime, then the depth, then the order cap on ``top_order()`` are
-    checked before any level is built."""
+    prime and the depth are checked first. Levels are built from the top,
+    the largest, down, so the top level's own cap check refuses an
+    oversize tower before any level exists."""
     require_prime(p)
     if depth < 1 or depth > 4:
         raise ValueError("depth must be between 1 and 4")
-    require_order(top_order(), order_cap)
-    levels = [level(k) for k in range(1, depth + 1)]
+    levels = [level(k) for k in range(depth, 0, -1)][::-1]
     bonds = [Homomorphism(levels[k], levels[k - 1], image(k, np.arange(levels[k].order)))
              for k in range(1, depth)]
     return Tower(tuple(levels), tuple(bonds), name=f"{name}(p={p})")
 
 
-def heisenberg_tower(p: int, depth: int, order_cap: int = DEFAULT_ORDER_CAP) -> Tower:
+def heisenberg_tower(p: int, depth: int) -> Tower:
     """Levels of triples (a, b, z), a and b mod p^k, z mod p.
 
     Bonds reduce a and b mod p^(k-1); the cocycle a*b' mod p only depends
@@ -98,19 +96,16 @@ def heisenberg_tower(p: int, depth: int, order_cap: int = DEFAULT_ORDER_CAP) -> 
         a, b, z = idx // (qhi * p), (idx // p) % qhi, idx % p
         return ((a % qlo) * qlo + (b % qlo)) * p + z
 
-    return _tower("heisenberg", p, depth, lambda: p ** (2 * depth + 1), order_cap,
-                  lambda k: heisenberg_level(p, k), image)
+    return _tower("heisenberg", p, depth, lambda k: heisenberg_level(p, k), image)
 
 
-def elementary_tower(p: int, depth: int, order_cap: int = DEFAULT_ORDER_CAP) -> Tower:
+def elementary_tower(p: int, depth: int) -> Tower:
     """Levels (Z/p)^k with coordinate-forgetting bonds."""
-    return _tower("elementary", p, depth, lambda: p**depth, order_cap,
-                  lambda k: elementary(p, k), lambda k, idx: idx % p**k)
+    return _tower("elementary", p, depth, lambda k: elementary(p, k),
+                  lambda k, idx: idx % p**k)
 
 
-def cyclic_tower(
-    p: int, depth: int, start: int = 1, order_cap: int = DEFAULT_ORDER_CAP
-) -> Tower:
+def cyclic_tower(p: int, depth: int, start: int = 1) -> Tower:
     """Levels Z/p^k for k = start .. start+depth-1, with reduction bonds.
 
     ``start`` picks where the truncation begins; the inverse system of all
@@ -118,24 +113,22 @@ def cyclic_tower(
     """
     if start < 1:
         raise ValueError("start exponent must be >= 1")
-    return _tower("cyclic", p, depth, lambda: p ** (start + depth - 1), order_cap,
-                  lambda k: cyclic(p ** (start + k - 1)),
+    return _tower("cyclic", p, depth, lambda k: cyclic(p ** (start + k - 1)),
                   lambda k, idx: idx % p ** (start + k - 1))
 
 
-# name -> (the parameters it reads, builder from the params and order cap)
+# name -> (the parameters it reads, builder from the params)
 _PRESETS = {
-    name: (("p", "depth"), lambda params, order_cap, build=build: build(
-        params["p"], params.get("depth", 2), order_cap=order_cap))
+    name: (("p", "depth"), lambda params, build=build: build(
+        params["p"], params.get("depth", 2)))
     for name, build in (("cyclic", cyclic_tower), ("elementary", elementary_tower),
                         ("heisenberg", heisenberg_tower))
 }
 
 
-def build_tower_preset(name: str, params: dict | None = None,
-                       order_cap: int = DEFAULT_ORDER_CAP) -> Tower:
+def build_tower_preset(name: str, params: dict | None = None) -> Tower:
     """A named tower: each reads the prime ``p`` and ``depth`` (default 2)."""
-    return build_named("tower", _PRESETS, name, params, order_cap=order_cap)
+    return build_named("tower", _PRESETS, name, params)
 
 
 def tower_degrees(t: Tower, m: int = 1, n: int = 1) -> TowerReport:

@@ -18,6 +18,7 @@ from commdeg.errors import (
     NotLatin,
     NotNormal,
     OrderCapExceeded,
+    order_cap,
 )
 from commdeg.groups import (
     GroupTable,
@@ -487,8 +488,8 @@ def test_permgen_rejects_bad_generator():
 
 
 def test_order_cap_stops_runaway_closure():
-    with pytest.raises(OrderCapExceeded):
-        permutation_closure(30, [tuple(list(range(1, 30)) + [0])], order_cap=10)
+    with order_cap(10), pytest.raises(OrderCapExceeded):
+        permutation_closure(30, [tuple(list(range(1, 30)) + [0])])
 
 
 def test_matmodgen_heisenberg_generators():

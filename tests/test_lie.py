@@ -1,10 +1,12 @@
 """Power-map singularity criteria on certificate presets."""
 import json
+import warnings
 from math import cos, pi, sin
 
 import numpy as np
 import pytest
 
+from commdeg import cli
 from commdeg.errors import ModulusViolation, UnknownPreset
 from commdeg.lie import (
     LieElement,
@@ -242,3 +244,42 @@ def test_certificates_roundtrip(tmp_path):
     assert v.witnesses[0][0].label == "flip"
     assert any("rot" in note for note in v.notes)
     assert certificates_from_doc(doc).name == "mini-dihedral"
+
+
+def _one_certificate(adjoint, dim=1, label="r"):
+    return {"dim": dim, "certificates": [{"label": label, "order": 2, "adjoint": adjoint}]}
+
+
+@pytest.mark.parametrize("entry", ["nan", "-inf", "inf", float("nan"), 10**400, True, False,
+                                   None])
+def test_an_adjoint_entry_that_is_not_a_finite_number_is_refused(tmp_path, capsys, entry):
+    with pytest.raises(ValueError, match=r"^certificate 'r': adjoint entry .* is not a finite"):
+        certificates_from_doc(_one_certificate([[entry]]))
+    path = tmp_path / "certs.json"
+    path.write_text(json.dumps(_one_certificate([[entry]])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused as read, before numpy sees it
+        assert cli.main(["straight", "--group", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: certificate 'r': adjoint entry {entry!r}")
+
+
+def test_adjoint_entries_may_be_decimal_strings_or_numbers():
+    for entry in ("-1.0", -1, -1.0):
+        cert = certificates_from_doc(_one_certificate([[entry]])).certificates[0]
+        assert cert.adjoint.tolist() == [[-1.0]]
+
+
+@pytest.mark.parametrize("doc", [
+    _one_certificate([["-1.0"]], dim=2),
+    _one_certificate([["-1.0", "0"], ["0", "-1.0"]], dim=1),
+    {"dim": 1, "certificates": [
+        {"label": "one", "order": 2, "adjoint": [["-1.0"]]},
+        {"label": "two", "order": 2, "adjoint": [["-1.0", "0"], ["0", "-1.0"]]}]},
+], ids=["1x1-in-dim-2", "2x2-in-dim-1", "mixed-sizes"])
+def test_an_adjoint_of_the_wrong_size_is_refused(tmp_path, capsys, doc):
+    with pytest.raises(ValueError, match=r"^certificate '(r|two)': adjoint is not \dx\d$"):
+        certificates_from_doc(doc)
+    path = tmp_path / "certs.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["straight", "--group", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: certificate ")

@@ -1,8 +1,10 @@
 """Table construction: every constructor fills its table through
 ``groups.table_from_rows``, behind the one cap check ``groups.require_order``."""
 import hashlib
+import importlib
 import inspect
 import re
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -19,8 +21,8 @@ from commdeg.degrees import (
     degree_of_product,
     degree_structural,
 )
-from commdeg.errors import OrderCapExceeded
-from commdeg.groups import DEFAULT_ORDER_CAP, direct_product
+from commdeg.errors import DEFAULT_ORDER_CAP, ORDER_CAP, OrderCapExceeded, order_cap
+from commdeg.groups import direct_product
 from commdeg.specs import build_group
 
 
@@ -266,13 +268,21 @@ _OVERSIZE = {
                                             "normal": _cyclic_spec(150),
                                             "acting": _cyclic_spec(150),
                                             "action": _SQUARE_150_ACTION}),
-    "product spec under a user cap": lambda: build_group(
-        _product_spec(_cyclic_spec(20), _cyclic_spec(20)), order_cap=399),
-    "cayley spec under a user cap": lambda: build_group(
-        {"kind": "cayley", "table": presets.cyclic(5).mult.tolist()}, order_cap=4),
+    "semidirect_product(C150, C150) before its action is read": lambda: (
+        groups.semidirect_product(presets.cyclic(150), presets.cyclic(150), None)),
+    "product spec under a user cap": lambda: _capped(
+        399, lambda: build_group(_product_spec(_cyclic_spec(20), _cyclic_spec(20)))),
+    "cayley spec under a user cap": lambda: _capped(
+        4, lambda: build_group({"kind": "cayley", "table": presets.cyclic(5).mult.tolist()})),
     "heisenberg_tower(5, 3)": lambda: towers.heisenberg_tower(5, 3),
-    "elementary_tower under a user cap": lambda: towers.elementary_tower(2, 4, order_cap=8),
+    "elementary_tower under a user cap": lambda: _capped(
+        8, lambda: towers.elementary_tower(2, 4)),
 }
+
+
+def _capped(cap, build):
+    with order_cap(cap):
+        return build()
 
 
 @pytest.mark.parametrize("key", sorted(_OVERSIZE))
@@ -293,8 +303,8 @@ def test_cli_oversize_preset_exits_1_before_allocating(capsys):
 
 
 def test_cli_order_cap_lowers_the_cap_for_presets(capsys):
-    # the preset's order is checked from its params before it is built;
-    # the bound still leaves room for the order-300 table (360 KB)
+    # table_from_rows checks the order before it allocates; the bound
+    # still leaves room for the order-300 table (360 KB)
     rc = []
     peak = _traced_peak(lambda: rc.append(cli.main(
         ["degree", "--preset", "cyclic", "--n", "300", "--order-cap", "100"])))
@@ -320,15 +330,25 @@ _PRESET_PARAMS = [
 ]
 
 
-def test_every_preset_has_an_order_from_its_params():
+def test_every_preset_is_refused_below_its_order_before_allocating():
     assert {name for name, _ in _PRESET_PARAMS} == set(presets.preset_names())
     for name, params in _PRESET_PARAMS:
-        assert presets.preset_order(name, params) == presets.build_preset(name, params).order
+        order = presets.build_preset(name, params).order
+        if order == 1:  # no cap is below it
+            continue
+
+        def call():
+            with order_cap(order - 1), pytest.raises(OrderCapExceeded,
+                                                     match=f"order {order} "):
+                presets.build_preset(name, params)
+
+        assert _traced_peak(call) < 1 << 20, (name, params)
 
 
 def _group_builds(name, params):
+    # the parameters are read before the order is checked, even under a cap of 1
     return (lambda: build_group({"kind": "preset", "name": name, "params": params}),
-            lambda: presets.preset_order(name, params),
+            lambda: _capped(1, lambda: presets.build_preset(name, params)),
             lambda: presets.build_preset(name, params))
 
 
@@ -353,8 +373,8 @@ def test_a_preset_spec_refuses_parameters_it_does_not_read(name, params, unread,
 
 def test_elementary_reads_its_rank_from_k_or_n_not_both():
     assert presets.build_preset("elementary", {"p": 3, "n": 2}).order == 9
-    with pytest.raises(ValueError, match="not both"):
-        presets.preset_order("elementary", {"p": 3, "k": 2, "n": 2})
+    with order_cap(1), pytest.raises(ValueError, match="not both"):
+        presets.build_preset("elementary", {"p": 3, "k": 2, "n": 2})
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 5), (3, 1), (3, 2), (3, 4), (5, 3), (7, 2),
@@ -371,9 +391,58 @@ def test_elementary_adds_digit_by_digit(p, k):
 
 
 def test_order_cap_cannot_be_raised_past_the_default():
-    with pytest.raises(OrderCapExceeded, match=str(DEFAULT_ORDER_CAP)):
-        groups.require_order(DEFAULT_ORDER_CAP + 1, 10 * DEFAULT_ORDER_CAP)
-    groups.require_order(DEFAULT_ORDER_CAP, 10 * DEFAULT_ORDER_CAP)
+    with order_cap(10 * DEFAULT_ORDER_CAP):
+        with pytest.raises(OrderCapExceeded, match=str(DEFAULT_ORDER_CAP)):
+            groups.require_order(DEFAULT_ORDER_CAP + 1)
+        groups.require_order(DEFAULT_ORDER_CAP)
+
+
+def test_a_nested_block_cannot_raise_the_cap():
+    with order_cap(100):
+        with order_cap(1000):
+            assert ORDER_CAP.get() == 100
+            with pytest.raises(OrderCapExceeded, match="order 101 exceeds the order cap 100"):
+                groups.require_order(101)
+        with order_cap(10):
+            assert ORDER_CAP.get() == 10
+        assert ORDER_CAP.get() == 100
+    assert ORDER_CAP.get() == DEFAULT_ORDER_CAP
+
+
+def test_the_cap_is_restored_after_a_block_that_raises():
+    with pytest.raises(OrderCapExceeded):
+        with order_cap(8):
+            presets.cyclic(9)
+    assert ORDER_CAP.get() == DEFAULT_ORDER_CAP
+    assert presets.cyclic(9).order == 9
+
+
+def test_a_thread_started_inside_a_block_sees_the_default_cap():
+    seen = []
+    with order_cap(5):
+        thread = threading.Thread(target=lambda: seen.append(ORDER_CAP.get()))
+        thread.start()
+        thread.join(timeout=10)
+    assert not thread.is_alive() and seen == [DEFAULT_ORDER_CAP]
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_a_cap_below_one_is_refused(cap):
+    with pytest.raises(ValueError, match=f"at least 1, not {cap}$"):
+        with order_cap(cap):
+            pass
+    assert ORDER_CAP.get() == DEFAULT_ORDER_CAP
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["degree", "--preset", "s4", "--order-cap", "-5"],
+     "error: the order cap must be at least 1, not -5\n"),
+    (["estimate", "--preset", "torus-x-quaternion8", "--order-cap", "5", "--trials", "100"],
+     "error: order 8 exceeds the order cap 5\n"),
+])
+def test_cli_cap_covers_every_table_and_refuses_a_cap_below_one(capsys, argv, err):
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == err
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +454,22 @@ def test_counting_routes_take_no_order_cap():
         assert "order_cap" not in inspect.signature(fn).parameters, fn.__name__
 
 
-def test_every_order_cap_defaults_to_the_cap():
-    fns = [fn for module in (specs, schemas, towers, cli)
-           for fn in vars(module).values()
+def test_no_public_function_takes_an_order_cap():
+    modules = [importlib.import_module(f"commdeg.{path.stem}")
+               for path in sorted(Path(commdeg.__file__).parent.glob("*.py"))
+               if path.stem != "__init__"]
+    fns = [fn for module in modules for fn in vars(module).values()
            if inspect.isfunction(fn) and fn.__module__ == module.__name__
-           and not fn.__name__.startswith("_")]
-    defaults = [inspect.signature(fn).parameters["order_cap"].default
-                for fn in fns if "order_cap" in inspect.signature(fn).parameters]
-    defaults.append(cli.build_parser().parse_args(["degree", "--preset", "s3"]).order_cap)
-    assert len(defaults) >= 9
-    assert set(defaults) == {DEFAULT_ORDER_CAP}
+           and not fn.__name__.startswith("_") and fn is not order_cap]
+    fns += [member for module in modules for cls in vars(module).values()
+            if inspect.isclass(cls) and cls.__module__ == module.__name__
+            for member in vars(cls).values() if inspect.isfunction(member)]
+    assert len(fns) > 100
+    for fn in fns:
+        assert not {"order_cap", "cap"} & set(inspect.signature(fn).parameters), fn.__qualname__
+    assert list(inspect.signature(groups.require_order).parameters) == ["n"]
+    assert cli.build_parser().parse_args(["degree", "--preset", "s3"]).order_cap \
+        == DEFAULT_ORDER_CAP
 
 
 def test_require_order_is_the_only_raise_of_the_cap():
