@@ -20,7 +20,6 @@ _EXPORTS = {
         "conjugation_action",
         "equalizer_prob_via_group",
         "equalizer_prob_via_points",
-        "finite_orbit_set",
         "fixed_set",
         "isotropy",
         "orbits",
@@ -28,7 +27,6 @@ _EXPORTS = {
     "degrees": (
         "DegreeReport",
         "Distribution",
-        "Rational",
         "degree_bruteforce",
         "degree_centralizer_sum",
         "degree_mn",
@@ -37,7 +35,6 @@ _EXPORTS = {
         "degree_structural",
         "haar",
         "pushforward_power",
-        "sign_flip_audit",
     ),
     "groups": (
         "GroupTable",

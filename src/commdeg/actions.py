@@ -9,7 +9,6 @@ D < 2**63 (the numerators sum to D) and in Python ints otherwise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -105,25 +104,3 @@ def equalizer_prob_via_group(a: FiniteAction, mu: Distribution, nu) -> Fraction:
                             for s, e in row_tiles(a.group.order, a.set_size)])
     return Fraction(sum(map(mul, mu_num.tolist(), fixed.tolist())), d_mu * d_nu)
 
-
-@dataclass(frozen=True)
-class FiniteOrbitReport:
-    """All points with finite orbit (everything, here) plus orbit sizes."""
-
-    points: tuple[int, ...]
-    orbit_sizes: tuple[int, ...]
-
-
-def finite_orbit_set(a: FiniteAction) -> FiniteOrbitReport:
-    """Per-point orbit sizes; in the finite setting every orbit is finite.
-
-    Kept for interface symmetry with the tower module, where orbit growth
-    across levels is the interesting signal.
-    """
-    size_of = {x: len(orb) for orb in orbits(a) for x in orb}
-    pts = tuple(range(a.set_size))
-    return FiniteOrbitReport(points=pts, orbit_sizes=tuple(size_of[x] for x in pts))
-
-
-def orbit_count(a: FiniteAction) -> int:
-    return len(orbits(a))

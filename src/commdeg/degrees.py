@@ -30,11 +30,7 @@ from commdeg.groups import (
     direct_product,
     distinct,
     power_map,
-    semidirect_product,
 )
-from commdeg.presets import cyclic
-
-Rational = Fraction
 
 
 def _probability_vector(weights, size) -> tuple[list[int], int]:
@@ -221,62 +217,3 @@ def degree_of_product(A: GroupTable, B: GroupTable, verify: bool = False) -> Fra
             )
     return value
 
-
-# ---------------------------------------------------------------------------
-# Inversion-flip semidirect audit
-
-
-@dataclass(frozen=True)
-class SignFlipAudit:
-    """Brute-force audit of d(A x| {1,-1}) for cyclic A against two closed forms.
-
-    With t the fraction of 2-torsion in A, the pair count gives
-    (1 + 3t)/4; the competing expansion ((1 + t)/2)^2 agrees only at t = 0.
-    """
-
-    a_order: int
-    t: Fraction
-    value: Fraction
-    linear_form: Fraction
-    square_form: Fraction
-
-    @property
-    def matches_linear(self) -> bool:
-        return self.value == self.linear_form
-
-    @property
-    def matches_square(self) -> bool:
-        return self.value == self.square_form
-
-    def report(self) -> str:
-        lines = [
-            f"A = C{self.a_order}, t = {self.t}: brute force d = {self.value}",
-            f"  (1+3t)/4      = {self.linear_form}"
-            f" -> {'MATCH' if self.matches_linear else 'MISMATCH'}",
-            f"  ((1+t)/2)^2   = {self.square_form}"
-            f" -> {'MATCH' if self.matches_square else 'MISMATCH'}",
-        ]
-        if self.matches_linear and not self.matches_square:
-            lines.append(
-                "  discrepancy: the squared form overcounts the flip-flip part;"
-                " the commuting condition there is 2(a - a') = 0, of measure t,"
-                " not membership of both angles in the 2-torsion set."
-            )
-        lines.append("  at t = 0 both forms give 1/4.")
-        return "\n".join(lines)
-
-
-def sign_flip_audit(a_order: int) -> SignFlipAudit:
-    """Brute-force d(C_n x| {1,-1}) with the inversion action, vs closed forms."""
-    A = cyclic(a_order)
-    action = [list(range(a_order)), [(-i) % a_order for i in range(a_order)]]
-    G = semidirect_product(A, cyclic(2), action)
-    value = degree_bruteforce(G).value
-    t = Fraction(sum(1 for a in range(a_order) if (2 * a) % a_order == 0), a_order)
-    return SignFlipAudit(
-        a_order=a_order,
-        t=t,
-        value=value,
-        linear_form=(1 + 3 * t) / 4,
-        square_form=((1 + t) / 2) ** 2,
-    )

@@ -63,9 +63,6 @@ def elementary(p: int, k: int) -> GroupTable:
     if p == 2:
         def rows(s, e, _):
             return np.arange(s, e, dtype=np.int32)[:, None] ^ y
-    elif k == 1:
-        def rows(s, e, _):
-            return (np.arange(s, e, dtype=np.int32)[:, None] + y) % p
     else:
         half = (k + 1) // 2
         q = p**half

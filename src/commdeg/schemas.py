@@ -11,8 +11,11 @@ Certificates: {"name": "...", "dim": d, "component_count": c,
                                  "adjoint": [["1.0", ...], ...]}, ...]}
 
 Adjoint entries are decimal strings so documents stay exact and
-language-neutral; an entry that is a bool or null or reads as nan or an
-infinity raises ValueError naming its certificate.
+language-neutral; an entry that is a bool or null, is a string that is no
+number or reads as nan or an infinity raises ValueError naming its
+certificate. A certificate's order and component errors name it too.
+Every name and label, in these documents and in group specs, is read
+exactly as a string by ``_text``.
 
 Each loader imports the modules it builds from when it is called, so a
 certificate document loads ``lie`` alone.
@@ -83,6 +86,15 @@ def build_named(family: str, table: dict, name: str, params: dict | None = None)
         raise ValueError(f"preset {name!r} is missing parameter {exc}") from None
 
 
+def _text(doc, key, what, default=None):
+    """doc[key], which a document must give as a string, or ``default``
+    when the key is absent: a number, a list or null is not read as text."""
+    value = doc.get(key, default)
+    if key in doc and not isinstance(value, str):
+        raise ValueError(f"{what}: {key!r} must be a string, not {value!r}")
+    return value
+
+
 def _listed(doc, key, item, what):
     """doc[key], which a document must give as a list of ``item`` values."""
     value = doc[key]
@@ -106,7 +118,7 @@ def tower_from_doc(doc: dict) -> Tower:
         Homomorphism(levels[k + 1], levels[k], image)
         for k, image in enumerate(images)
     )
-    return Tower(levels, bonds, name=doc.get("name", "tower"))
+    return Tower(levels, bonds, name=_text(doc, "name", "tower", "tower"))
 
 
 def load_tower(path) -> Tower:
@@ -119,7 +131,7 @@ def action_from_doc(doc: dict) -> FiniteAction:
 
     group = build_group(doc["group"])
     action = FiniteAction(group, _listed(doc, "act", list, "action"))
-    if "set_size" in doc and doc["set_size"] != action.set_size:
+    if "set_size" in doc and _integer(doc["set_size"], "action set_size") != action.set_size:
         raise ValueError("set_size does not match the action table width")
     return action
 
@@ -131,9 +143,13 @@ def load_action(path) -> FiniteAction:
 def _adjoint_entry(value, label) -> float:
     """``value``, a decimal string or a number, as a finite float, read
     through ``str`` so that an int too large for a float is inf. Anything
-    else, a bool included, and nan or an infinity raise ValueError."""
+    else, a bool or a string that is no number included, and nan or an
+    infinity raise ValueError naming the certificate."""
     number = isinstance(value, (str, int, float)) and not isinstance(value, bool)
-    x = float(str(value)) if number else math.nan
+    try:
+        x = float(str(value)) if number else math.nan
+    except ValueError:  # a string that is no number
+        x = math.nan
     if not math.isfinite(x):
         raise ValueError(f"certificate {label!r}: adjoint entry {value!r} is not a finite number")
     return x
@@ -144,21 +160,21 @@ def certificates_from_doc(doc: dict) -> LiePreset:
 
     certs = []
     for entry in _listed(doc, "certificates", dict, "certificate document"):
+        label = _text(entry, "label", "certificate", "")
         order = entry.get("order", "unknown")
-        declared = None if order == "unknown" else _integer(order, "certificate order")
-        label = entry.get("label", "")
-        rows = _listed(entry, "adjoint", list, "certificate")
+        declared = None if order == "unknown" else _integer(order, f"certificate {label!r} order")
+        rows = _listed(entry, "adjoint", list, f"certificate {label!r}")
         adjoint = [[_adjoint_entry(v, label) for v in row] for row in rows]
         certs.append(
             LieElement(
                 adjoint,
                 declared_order=declared,
                 label=label,
-                component=_integer(entry.get("component", 0), "certificate component"),
+                component=_integer(entry.get("component", 0), f"certificate {label!r} component"),
             )
         )
     return LiePreset(
-        name=doc.get("name", "custom"),
+        name=_text(doc, "name", "certificate document", "custom"),
         dim=_integer(doc["dim"], "certificate dim"),
         certificates=tuple(certs),
         component_count=_integer(doc.get("component_count", 1), "component_count"),

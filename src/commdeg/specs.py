@@ -45,7 +45,7 @@ from commdeg.groups import (
 )
 from commdeg.kernels import row_tiles
 from commdeg.presets import build_preset
-from commdeg.schemas import _integer, _listed, _load
+from commdeg.schemas import _integer, _listed, _load, _text
 
 
 def _unsigned(bound):
@@ -188,19 +188,20 @@ def build_group(spec: dict) -> GroupTable:
     kind = spec["kind"]
     if kind == "cayley":
         table = _listed(spec, "table", list, "cayley spec")
-        return GroupTable(table, labels=spec.get("labels"),
-                          name=spec.get("name", f"cayley{len(table)}"))
+        labels = _listed(spec, "labels", str, "cayley spec") if "labels" in spec else None
+        return GroupTable(table, labels=labels,
+                          name=_text(spec, "name", "cayley spec", f"cayley{len(table)}"))
     if kind == "permgen":
         return permutation_closure(
             _integer(spec["degree"], "permgen degree"),
             _listed(spec, "generators", list, "permgen spec"),
-            name=spec.get("name"),
+            name=_text(spec, "name", "permgen spec"),
         )
     if kind == "matmodgen":
         return matrix_mod_closure(
             _integer(spec["mod"], "matmodgen mod"), _integer(spec["dim"], "matmodgen dim"),
             _listed(spec, "generators", list, "matmodgen spec"),
-            name=spec.get("name"),
+            name=_text(spec, "name", "matmodgen spec"),
         )
     if kind == "preset":
         return build_preset(spec["name"], spec.get("params"))

@@ -32,8 +32,13 @@ from commdeg.groups import (
 from commdeg.presets import cyclic, elementary, heisenberg_level, require_prime
 from commdeg.schemas import build_named
 
-# A tower has stabilized when this many of its last levels share a degree.
+# A tower has stabilized when this many of its last levels share a value.
 STABILIZATION_LEVELS = 2
+
+
+def _stabilized(values) -> bool:
+    """Whether the last STABILIZATION_LEVELS per-level ``values`` exist and agree."""
+    return len(values) >= STABILIZATION_LEVELS and len(set(values[-STABILIZATION_LEVELS:])) == 1
 
 
 @dataclass(frozen=True)
@@ -60,10 +65,10 @@ class Tower:
 
 @dataclass(frozen=True)
 class TowerReport:
-    """Per-level degrees of a tower, with monotonicity and stabilization."""
+    """Per-level degrees of a tower, non-increasing (``tower_degrees``
+    raises otherwise), and the value they stabilized at, if they did."""
 
     degrees: tuple[Fraction, ...]
-    is_antitone: bool
     stabilized_value: Fraction | None
     per_level_orders: tuple[int, ...]
     m: int = 1
@@ -144,13 +149,9 @@ def tower_degrees(t: Tower, m: int = 1, n: int = 1) -> TowerReport:
             raise AntitoneViolation(
                 f"degree rose from level {k} to {k + 1}: {degs[k - 1]} -> {degs[k]}"
             )
-    stabilized = None
-    if len(degs) >= STABILIZATION_LEVELS and len(set(degs[-STABILIZATION_LEVELS:])) == 1:
-        stabilized = degs[-1]
     return TowerReport(
         degrees=degs,
-        is_antitone=True,
-        stabilized_value=stabilized,
+        stabilized_value=degs[-1] if _stabilized(degs) else None,
         per_level_orders=tuple(level.order for level in t.levels),
         m=m,
         n=n,
@@ -210,12 +211,7 @@ def straightness_fraction(t: Tower, n: int, selector) -> StraightnessReport:
         fractions.append(Fraction(count, level.order))
         indices.append(level.order // sub.order)
     growing = all(indices[k] < indices[k + 1] for k in range(len(indices) - 1))
-    stabilized_positive = (
-        len(fractions) >= 2
-        and fractions[-1] == fractions[-2]
-        and fractions[-1] > 0
-    )
-    evidence = len(indices) >= 2 and growing and stabilized_positive
+    evidence = len(indices) >= 2 and growing and _stabilized(fractions) and fractions[-1] > 0
     return StraightnessReport(
         power=n,
         fractions=tuple(fractions),
@@ -249,10 +245,9 @@ def fc_class_growth(t: Tower, element_path) -> ClassGrowthReport:
                 f"bond {k} maps element {path[k + 1]} to"
                 f" {int(bond.image[path[k + 1]])}, expected {path[k]}"
             )
-    sizes = [next(len(c) for c in conjugacy_classes(level) if g in c)
-             for level, g in zip(t.levels, path)]
-    stable = len(sizes) >= 2 and sizes[-1] == sizes[-2]
-    return ClassGrowthReport(element_path=path, class_sizes=tuple(sizes), stable=stable)
+    sizes = tuple(next(len(c) for c in conjugacy_classes(level) if g in c)
+                  for level, g in zip(t.levels, path))
+    return ClassGrowthReport(element_path=path, class_sizes=sizes, stable=_stabilized(sizes))
 
 
 def product_degree_partials(factors, factor_groups=None) -> tuple[Fraction, ...]:

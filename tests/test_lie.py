@@ -251,7 +251,7 @@ def _one_certificate(adjoint, dim=1, label="r"):
 
 
 @pytest.mark.parametrize("entry", ["nan", "-inf", "inf", float("nan"), 10**400, True, False,
-                                   None])
+                                   None, "abc", ""])
 def test_an_adjoint_entry_that_is_not_a_finite_number_is_refused(tmp_path, capsys, entry):
     with pytest.raises(ValueError, match=r"^certificate 'r': adjoint entry .* is not a finite"):
         certificates_from_doc(_one_certificate([[entry]]))
@@ -261,6 +261,18 @@ def test_an_adjoint_entry_that_is_not_a_finite_number_is_refused(tmp_path, capsy
         warnings.simplefilter("error")  # refused as read, before numpy sees it
         assert cli.main(["straight", "--group", str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: certificate 'r': adjoint entry {entry!r}")
+
+
+@pytest.mark.parametrize("field", ["order", "component"])
+def test_a_certificate_field_that_is_not_an_integer_names_its_certificate(tmp_path, capsys,
+                                                                           field):
+    doc = _one_certificate([["-1.0"]], label="c0")
+    doc["certificates"][0][field] = "2"
+    path = tmp_path / "certs.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["straight", "--group", str(path)]) == 1
+    want = f"error: certificate 'c0' {field} must be an integer, not '2'\n"
+    assert capsys.readouterr().err == want
 
 
 def test_adjoint_entries_may_be_decimal_strings_or_numbers():

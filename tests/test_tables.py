@@ -390,6 +390,11 @@ def test_elementary_adds_digit_by_digit(p, k):
     assert presets.elementary(p, k).mult.tolist() == expected
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 101, 151])
+def test_elementary_rank_one_is_the_cyclic_table(p):
+    assert np.array_equal(presets.elementary(p, 1).mult, presets.cyclic(p).mult)
+
+
 def test_order_cap_cannot_be_raised_past_the_default():
     with order_cap(10 * DEFAULT_ORDER_CAP):
         with pytest.raises(OrderCapExceeded, match=str(DEFAULT_ORDER_CAP)):

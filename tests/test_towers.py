@@ -79,7 +79,16 @@ def test_tower_degrees_heisenberg_stabilizes():
     assert rep.degrees == (Fraction(5, 8), Fraction(5, 8))
     assert rep.stabilized_value == Fraction(5, 8)
     assert rep.per_level_orders == (8, 32)
-    assert rep.is_antitone
+
+
+def test_every_stabilization_rule_reads_the_one_constant(monkeypatch):
+    monkeypatch.setattr(towers_mod, "STABILIZATION_LEVELS", 3)
+    assert tower_degrees(heisenberg_tower(2, 2)).stabilized_value is None
+    assert tower_degrees(heisenberg_tower(2, 3)).stabilized_value == Fraction(5, 8)
+    assert not straightness_fraction(elementary_tower(2, 2), 2, "trivial").non_straight_evidence
+    assert straightness_fraction(elementary_tower(2, 3), 2, "trivial").non_straight_evidence
+    assert not fc_class_growth(heisenberg_tower(3, 2), [9, 27]).stable
+    assert fc_class_growth(heisenberg_tower(2, 3), [4, 8, 16]).stable
 
 
 def test_tower_degrees_elementary_all_one():
