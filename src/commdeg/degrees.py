@@ -178,24 +178,28 @@ def degree_mn_pushforward(G: GroupTable, m: int, n: int) -> DegreeReport:
     count the preimages of the m-th and n-th power maps (|G| times their
     pushforwards of Haar measure). Only u in the image of x -> x^m and v in
     the image of y -> y^n carry weight, so the table is read on those two
-    supports alone: row tiles (``kernels.row_tiles``) of whole rows and
-    columns of the smaller support, restricted to the other support.
-    Weighting powers instead of visiting the n^2 pairs keeps this route
-    independent of the pair count in ``degree_mn``.
+    supports alone, in tiles of ``kernels.tile_shape`` over the sorted
+    supports with the weights applied per tile. A tile side whose support
+    values are a run of consecutive indices is read as a slice; any other
+    is gathered inside the tile. Weighting powers instead of visiting the
+    n^2 pairs keeps this route independent of the pair count in
+    ``degree_mn``.
     """
     if m < 1 or n < 1:
         raise ValueError("powers must be >= 1")
     n_ord = G.order
     cm, cn = power_counts(G, m), power_counts(G, n)
     us, vs = np.flatnonzero(cm), np.flatnonzero(cn)
-    wu, wv = cm[us], cn[vs]
-    if len(us) > len(vs):  # commuting is symmetric: band over the smaller support
-        us, vs, wu, wv = vs, us, wv, wu
+    height, width = kernels.tile_shape(len(us))
+    v_tiles = [(_run_or_gather(vs[q:q + height]), cn[vs[q:q + height]])
+               for q in range(0, len(vs), height)]
     total = 0
-    for s, e in kernels.row_tiles(len(us), n_ord):
-        u = us[s:e]
-        same = G.mult[u].take(vs, axis=1) == G.mult.take(u, axis=1)[vs].T
-        total += int(wu[s:e] @ (same @ wv))
+    for p in range(0, len(us), width):
+        iu = _run_or_gather(us[p:p + width])
+        wu = cm[us[p:p + width]]
+        for iv, wv in v_tiles:
+            same = _block(G.mult, iu, iv) == _block(G.mult, iv, iu).T
+            total += int(wu @ (same @ wv))
     return DegreeReport(
         value=Fraction(total, n_ord**2),
         method="pushforward",
@@ -204,6 +208,21 @@ def degree_mn_pushforward(G: GroupTable, m: int, n: int) -> DegreeReport:
         m=m,
         n=n,
     )
+
+
+def _run_or_gather(support):
+    """The sorted indices ``support`` as a slice when they are a run of
+    consecutive indices, else as they are."""
+    lo, hi = int(support[0]), int(support[-1]) + 1
+    return slice(lo, hi) if hi - lo == len(support) else support
+
+
+def _block(mult, rows, cols):
+    """mult restricted to rows x cols, read as a slice along any side that is
+    one and gathered entry by entry where both are index arrays."""
+    if isinstance(rows, slice) or isinstance(cols, slice):
+        return mult[rows, cols]
+    return mult[np.ix_(rows, cols)]
 
 
 def degree_of_product(A: GroupTable, B: GroupTable, verify: bool = False) -> Fraction:

@@ -112,20 +112,22 @@ def _right_closure(mult, gens, reached):
     R |= f(R), then f = f[f], until a step adds nothing. After j steps R
     holds f^i(x) for i < 2^j, so a step that adds nothing means R is closed
     under f; that takes about log2 of g's order steps where a breadth-first
-    search takes one per power. Passes over ``gens`` repeat until one adds
-    nothing, and stop once every element is reached. Exact for any map f,
-    so on any square table."""
-    grown = True
-    while grown:
-        grown = False
-        for g in gens:
-            f = mult[:, g]
-            while not reached[step := f[reached]].all():  # f(R) is not inside R
-                reached[step] = True
-                grown = True
-                if reached.all():
-                    return
-                f = f[f]
+    search takes one per power. The generators are walked in turn, from the
+    last (the callers' R is often closed under the others already), and
+    the walk stops once R is closed under each generator since its last
+    growth, or once every element is reached. Exact for any map f, so on
+    any square table."""
+    closed, i = 0, len(gens) - 1  # generators in a row that R is closed under
+    while closed < len(gens):
+        f = mult[:, gens[i]]
+        closed += 1
+        while not reached[step := f[reached]].all():  # f(R) is not inside R
+            reached[step] = True
+            closed = 1
+            if reached.all():
+                return
+            f = f[f]
+        i = (i + 1) % len(gens)
 
 
 def _law_failure(mult, act, gens):

@@ -473,6 +473,25 @@ def test_a_151_cycle_closes_in_log_rounds():
     assert 0 < len(reads) <= 2 * math.ceil(math.log2(151))
 
 
+def test_right_closure_skips_generators_closed_since_the_last_growth():
+    """R = <1, 2, 4> in E2^5 is closed under all but the last generator, 8.
+    The walk starts at 8, which grows R to <1, 2, 4, 8> in two reads (an
+    involution), then reads each of 1, 2 and 4 once and stops: no
+    generator is read before the growth and again after it."""
+    G = elementary(2, 5)
+    reads = []
+
+    class CountedMask(np.ndarray):
+        def __getitem__(self, key):
+            reads.append(key)
+            return np.asarray(self)[key]
+
+    reached = subgroup_generated(G, [1, 2, 4]).mask.copy().view(CountedMask)
+    groups._right_closure(G.mult, [1, 2, 4, 8], reached)
+    assert np.flatnonzero(reached).tolist() == list(range(16))
+    assert len(reads) == 2 + 3
+
+
 def test_permgen_closure_is_deterministic():
     spec = {"kind": "permgen", "degree": 4, "generators": [[1, 0, 2, 3], [1, 2, 3, 0]]}
     a = build_group(spec)

@@ -48,13 +48,24 @@ def sweep_group():
     return G
 
 
+@pytest.fixture(scope="module")
+def sweep_oracle(sweep_group):
+    """(m, n) -> the pair count of the oracle, for m and n in 1..4."""
+    table = sweep_group.mult.tolist()
+    return {(m, n): oracle_commuting_count_mn(table, m, n)
+            for m in range(1, 5) for n in range(1, 5)}
+
+
 def _maps(n):
     """Maps into range(n) that no power map need be: constant, reversed,
-    into the first few entries, and into the first and last quarter only,
-    so that at order 768 the middle tile holds no image."""
+    into the first few entries, into the first and last quarter only, so
+    that at order 768 the middle tile holds no image, and the identity on
+    the first half with three values for the second, so that one tile
+    holds every value it can and another only a few."""
     quarter = max(1, n // 4)
     return {
         "identity": list(range(n)),
+        "half, then three": [x if x < n // 2 else n - 1 - x % 3 * (n // 8) for x in range(n)],
         "reversed": [n - 1 - x for x in range(n)],
         "constant 0": [0] * n,
         "constant n-1": [n - 1] * n,
@@ -63,10 +74,16 @@ def _maps(n):
     }
 
 
+# each side dense, sparse, all distinct, constant, or dense in one tile and
+# sparse in another
 MAP_PAIRS = (
     ("identity", "constant 0"), ("constant n-1", "identity"),
     ("constant 0", "constant n-1"), ("first five", "two quarters"),
     ("two quarters", "first five"), ("two quarters", "reversed"),
+    ("identity", "reversed"), ("reversed", "reversed"), ("constant 0", "constant 0"),
+    ("half, then three", "identity"), ("reversed", "half, then three"),
+    ("half, then three", "half, then three"), ("half, then three", "constant 0"),
+    ("first five", "half, then three"),
 )
 
 
@@ -113,6 +130,18 @@ def test_arbitrary_maps_on_non_group_tables(tables, tiles):
         _assert_maps_match_oracle(table, name)
 
 
+@pytest.mark.parametrize("block", [None, 40], ids=["default", "block40"])
+def test_sweep_powers_match_oracle_on_both_routes(sweep_group, sweep_oracle, tiles):
+    """All 16 (m, n) of the power-sweep benchmark group, whose power maps
+    reach 768, 256, 24 and 3 elements. Tiles of one and seven entries
+    would take minutes at order 768, so the corpus tests cover those."""
+    G = sweep_group
+    for (m, n), want in sweep_oracle.items():
+        got = kernels.count_commuting_pairs_mn(G.mult, power_map(G, m), power_map(G, n))
+        assert got == want, (m, n)
+        assert degree_mn_pushforward(G, m, n).value == Fraction(want, G.order**2), (m, n)
+
+
 def test_arbitrary_maps_past_one_tile(sweep_group):
     table = sweep_group.mult.tolist()
     _assert_maps_match_oracle(table, "768")
@@ -156,12 +185,19 @@ def test_temporaries_stay_within_block(monkeypatch):
     pm = power_map(G, 2)
     identity = np.arange(G.order)
     constant = np.zeros(G.order, dtype=int)
+    three = identity % 3 * 7
     monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 1024)
     calls = {
         "pairs": lambda: kernels.count_commuting_pairs(G.mult),
         "power pairs": lambda: kernels.count_commuting_pairs_mn(G.mult, pm, pm),
         "constant pn": lambda: kernels.count_commuting_pairs_mn(G.mult, identity, constant),
         "identity pm": lambda: kernels.count_commuting_pairs_mn(G.mult, identity, pm),
+        # one row of a sub-block, gathered by n ranks
+        "constant pm": lambda: kernels.count_commuting_pairs_mn(G.mult, constant, identity),
+        # n ranks into one row: the columns are gathered first
+        "constant pm, power pn": lambda: kernels.count_commuting_pairs_mn(G.mult, constant, pm),
+        # a 3 x 32 sub-block of each tile pair
+        "three-value pm": lambda: kernels.count_commuting_pairs_mn(G.mult, three, identity),
         "power pushforward": lambda: degree_mn_pushforward(G, 1, 1).value,
         "centralizer sizes": lambda: kernels.centralizer_sizes(G.mult),
     }
