@@ -87,22 +87,21 @@ def _frozen(arr):
     return arr
 
 
-def table_from_rows(n, rows, labels=None, name="G"):
-    """Validated group of order ``n`` whose table rows s..e-1 are
-    ``rows(s, e, mult)``.
+def table_from_rows(n, fill, labels=None, name="G"):
+    """Validated group of order ``n`` whose table ``fill`` writes.
 
     This is the one place a constructor allocates a table. The order is
     checked against the cap first. The int32 table ``mult`` is then filled
-    one row tile at a time, so ``rows`` needs no n^2 temporary, and frozen,
-    so GroupTable shares it. ``rows`` may read the rows before s from
-    ``mult`` and may write its own rows there and return that slice.
-    ``labels`` may be a lazy iterable; it is read only once the table is
-    built.
+    one row tile at a time by ``fill(s, e, mult)``, which writes rows s..e-1
+    of ``mult`` in place and may read the rows before s; what it returns is
+    ignored. So no fill needs an n^2 temporary, and the table, frozen, is
+    the one GroupTable shares. ``labels`` may be a lazy iterable; it is
+    read only once the table is built.
     """
     require_order(n)
     mult = np.empty((n, n), dtype=np.int32)
     for s, e in row_tiles(n, n):
-        mult[s:e] = rows(s, e, mult)
+        fill(s, e, mult)
     return GroupTable(_frozen(mult), labels=labels, name=name)
 
 
@@ -473,12 +472,12 @@ def quotient(G: GroupTable, N: Subgroup) -> tuple[GroupTable, Homomorphism]:
     least = coset_minima(G, N.members)
     reps = np.flatnonzero(least == np.arange(G.order)).astype(np.int32)
     coset_of = np.searchsorted(reps, least).astype(np.int32)
-    Q = table_from_rows(
-        len(reps),
-        lambda s, e, _: coset_of[G.mult[reps[s:e, None], reps]],
-        labels=(f"{G.label(int(r))}N" for r in reps),
-        name=f"{G.name}/N{N.order}",
-    )
+
+    def fill(s, e, mult):
+        mult[s:e] = coset_of[G.mult[reps[s:e, None], reps]]
+
+    Q = table_from_rows(len(reps), fill, labels=(f"{G.label(int(r))}N" for r in reps),
+                        name=f"{G.name}/N{N.order}")
     return Q, Homomorphism(G, Q, coset_of)
 
 
@@ -487,14 +486,14 @@ def direct_product(A: GroupTable, B: GroupTable) -> GroupTable:
     nA, nB = A.order, B.order
     n = nA * nB
 
-    def rows(s, e, _):
+    def fill(s, e, mult):
         a, b = divmod(np.arange(s, e), nB)
-        return (A.mult[a][:, :, None] * nB + B.mult[b][:, None, :]).reshape(e - s, n)
+        mult[s:e] = (A.mult[a][:, :, None] * nB + B.mult[b][:, None, :]).reshape(e - s, n)
 
     labels = None
     if A.labels is not None or B.labels is not None:
         labels = (f"({A.label(a)},{B.label(b)})" for a in range(nA) for b in range(nB))
-    return table_from_rows(n, rows, labels=labels, name=f"{A.name}x{B.name}")
+    return table_from_rows(n, fill, labels=labels, name=f"{A.name}x{B.name}")
 
 
 def check_action(G: GroupTable, act) -> np.ndarray:
@@ -547,12 +546,12 @@ def semidirect_product(N: GroupTable, H: GroupTable, action) -> GroupTable:
     require_order(n)  # before the action, nH rows of nN points, is read
     act = _as_action_table(N, H, action)
 
-    def rows(s, e, _):
+    def fill(s, e, mult):
         a, h = divmod(np.arange(s, e), nH)
         n_part = N.mult[a[:, None], act[h]]  # [row, a2] = a * phi_h(a2)
-        return (n_part[:, :, None] * nH + H.mult[h][:, None, :]).reshape(e - s, n)
+        mult[s:e] = (n_part[:, :, None] * nH + H.mult[h][:, None, :]).reshape(e - s, n)
 
-    return table_from_rows(n, rows, name=f"{N.name}x|{H.name}")
+    return table_from_rows(n, fill, name=f"{N.name}x|{H.name}")
 
 
 def power_map(G: GroupTable, n: int) -> np.ndarray:

@@ -30,8 +30,6 @@ children, so every row reads a row filled before it.
 """
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from commdeg.groups import (
@@ -107,14 +105,13 @@ def _closure_table(identity, gens, products, name, prefix, labels=None):
     del number
     parent, via = np.divmod(source[:count], max(k, 1))
 
-    def rows(s, e, mult):
+    def fill(s, e, mult):
         if s == 0:
             mult[0] = np.arange(count)
         for c in range(max(s, 1), e):
             mult[c] = mult[parent[c]].take(gen_rows[via[c]])
-        return mult[s:e]
 
-    return table_from_rows(count, rows, labels=None if labels is None else labels(elems),
+    return table_from_rows(count, fill, labels=None if labels is None else labels(elems),
                            name=name or f"{prefix}#{count}")
 
 
@@ -221,9 +218,3 @@ def load_group_spec(path) -> dict:
     if "kind" not in spec:
         raise ValueError(f"{path}: not a group spec document")
     return spec
-
-
-def save_group_spec(spec: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec, fh, indent=2, sort_keys=True)
-        fh.write("\n")

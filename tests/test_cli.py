@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from commdeg import cli
-from commdeg.specs import build_group, load_group_spec, save_group_spec
+from commdeg.specs import build_group, load_group_spec
 from conftest import SUBPROCESS_ENV
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -135,7 +135,8 @@ def test_info_csv_golden_on_a_product_spec(tmp_path):
         spec = {"kind": "product", "a": spec,
                 "b": {"kind": "preset", "name": "cyclic", "params": {"n": 4}}}
     path = tmp_path / "d4c4_3.json"
-    save_group_spec(spec, path)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(spec, fh)
     target = tmp_path / "out.csv"
     out = run_cli("info", "--group", str(path), "--csv", str(target))
     assert out.returncode == 0, out.stderr
@@ -150,7 +151,8 @@ def test_group_file_roundtrip(tmp_path):
         "action": [[(x * pow(2, h, 5)) % 5 for x in range(5)] for h in range(4)],
     }
     path = tmp_path / "f20.json"
-    save_group_spec(spec, path)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(spec, fh)
     reloaded = load_group_spec(path)
     a = build_group(spec)
     b = build_group(reloaded)

@@ -159,7 +159,10 @@ def test_action_copies_a_writable_array_and_leaves_it_writable():
 
 
 def test_table_from_rows_shares_the_table_it_fills():
-    G = groups.table_from_rows(6, lambda s, e, _: (np.arange(s, e)[:, None] + np.arange(6)) % 6)
+    def fill(s, e, mult):
+        mult[s:e] = (np.arange(s, e)[:, None] + np.arange(6)) % 6
+
+    G = groups.table_from_rows(6, fill)
     assert np.array_equal(G.mult, presets.cyclic(6).mult)
     assert G.mult.base is None and not G.mult.flags.writeable
 
@@ -194,18 +197,21 @@ def test_builder_peak_is_the_table_plus_one_tile(key):
 
 
 def test_dihedral_peak_is_its_table_alone(monkeypatch):
-    """dihedral(n) fills its own table from its formula: no C_n table, no
-    second GroupTable, so the peak is the table and one tile."""
+    """dihedral(n) and cyclic(n) fill their own tables from their formulas:
+    no C_n table, no second GroupTable, so the peak is the table and one
+    tile."""
     built = []
     init = groups.GroupTable.__init__
     monkeypatch.setattr(groups.GroupTable, "__init__",
                         lambda self, *a, **k: built.append(1) or init(self, *a, **k))
-    out = []
-    peak = _traced_peak(lambda: out.append(presets.dihedral(1024)))
-    table = 4 * out[0].order ** 2
-    tile = 4 * 8 * kernels.BLOCK_ENTRIES  # four int64 tiles
-    assert peak <= 1.1 * table + tile, (peak, table)
-    assert len(built) == 1
+    for build in (lambda: presets.dihedral(1024), lambda: presets.cyclic(2048)):
+        built.clear()
+        out = []
+        peak = _traced_peak(lambda: out.append(build()))
+        table = 4 * out[0].order ** 2
+        tile = 4 * 8 * kernels.BLOCK_ENTRIES  # four int64 tiles
+        assert peak <= 1.1 * table + tile, (out[0].name, peak, table)
+        assert len(built) == 1, out[0].name
 
 
 @pytest.mark.parametrize("block", [1, 100, kernels.BLOCK_ENTRIES])
@@ -214,7 +220,12 @@ def test_dihedral_is_the_inversion_semidirect_product(monkeypatch, block):
     for n in [*range(1, 65), 151]:
         inversion = [list(range(n)), [(-i) % n for i in range(n)]]
         expected = groups.semidirect_product(presets.cyclic(n), presets.cyclic(2), inversion)
-        assert np.array_equal(presets.dihedral(n).mult, expected.mult), n
+        D = presets.dihedral(n)
+        assert np.array_equal(D.mult, expected.mult), n
+        x, c = np.ogrid[:2 * n, :2 * n]
+        assert np.array_equal(D.mult, (x + (-1) ** x * c) % (2 * n)), n
+        x, c = np.ogrid[:n, :n]
+        assert np.array_equal(presets.cyclic(n).mult, (x + c) % n), n
 
 
 def test_dihedral_needs_n_at_least_1():
@@ -331,7 +342,7 @@ _PRESET_PARAMS = [
 
 
 def test_every_preset_is_refused_below_its_order_before_allocating():
-    assert {name for name, _ in _PRESET_PARAMS} == set(presets.preset_names())
+    assert {name for name, _ in _PRESET_PARAMS} == set(presets._PRESETS)
     for name, params in _PRESET_PARAMS:
         order = presets.build_preset(name, params).order
         if order == 1:  # no cap is below it
