@@ -6,12 +6,13 @@ their pushforward cross-check. No floating point anywhere in this module:
 every value is a reduced Fraction whose denominator divides |G|^2.
 
 The routes stay different computations, so that they check each other.
-The pair count runs ``kernels.count_commuting_pairs`` over the whole
-table. The centralizer sum runs ``kernels.centralizer_sizes`` over all
-pairs. The structural route finds the center from the generators alone
-(``groups.centralizer_mask`` of ``G.generators``), takes the least member
-of each central coset and counts a centralizer mask for each of those
-representatives only.
+One loop, ``kernels.count_commuting_pairs_mn``, counts the commuting pairs
+for d and for d_{m,n}: the pair count of d is its count with both maps the
+identity. The centralizer sum stays a separate computation: it runs
+``kernels.centralizer_sizes`` over all pairs. The structural route finds
+the center from the generators alone (``groups.centralizer_mask`` of
+``G.generators``), takes the least member of each central coset and
+counts a centralizer mask for each of those representatives only.
 """
 from __future__ import annotations
 
@@ -159,7 +160,7 @@ def degree_mn(G: GroupTable, m: int, n: int) -> DegreeReport:
     if m < 1 or n < 1:
         raise ValueError("powers must be >= 1")
     pm = power_map(G, m)
-    pn = power_map(G, n)
+    pn = pm if m == n else power_map(G, n)
     count = int(kernels.count_commuting_pairs_mn(G.mult, pm, pn))
     return DegreeReport(
         value=Fraction(count, G.order**2),

@@ -2,10 +2,12 @@
 
 ``BLOCK_ENTRIES`` is read only here. Every table-sized pass in the library
 walks the row tiles of ``row_tiles`` or tiles of ``tile_shape``, so no
-temporary grows with n^2. All three kernels here walk square tiles of the
-table, and the power-pair count compares a tile pair only on the values the
-two maps take in it. The three counts stay separate computations because
-the exact routes in ``degrees`` check each other through them.
+temporary grows with n^2. One loop counts commuting pairs for d and for
+d_{m,n}: d is the power-pair count with both maps the identity. It compares
+a tile pair only on the values the two maps take in it, and reads each
+mirrored tile pair once when the maps are equal. The centralizer sizes stay
+a separate computation, because the exact routes in ``degrees`` check each
+other through them.
 """
 from math import isqrt
 
@@ -34,67 +36,62 @@ def tile_shape(n):
 
 
 def count_commuting_pairs(mult):
-    """Number of ordered pairs (x, y) with mult[x][y] == mult[y][x].
-
-    Counts the pairs x < y, doubles them and adds the n diagonal pairs.
-    """
-    mult = np.asarray(mult)
-    n = len(mult)
-    height, width = tile_shape(n)
-    upper = 0
-    for s in range(0, n, height):
-        e = s + height
-        for t in range(s + 1, n, width):
-            u = t + width
-            same = mult[s:e, t:u] == mult[t:u, s:e].T
-            if t < e:  # the tile reaches the diagonal: keep columns y > x
-                same = np.triu(same, s - t + 1)
-            upper += int(np.count_nonzero(same))
-    return n + 2 * upper
+    """Number of ordered pairs (x, y) with mult[x][y] == mult[y][x]: the
+    power-pair count with both maps the identity."""
+    idx = np.arange(len(mult))
+    return count_commuting_pairs_mn(mult, idx, idx)
 
 
 def count_commuting_pairs_mn(mult, pm, pn):
     """Number of ordered pairs (x, y) with pm[x] and pn[y] commuting.
 
     The values pm[x] and pn[y] are sorted and cut at the bounds of the
-    square tiles. In each tile pair holding some pm[x] and some pn[y], the
+    tiles. In each tile pair holding some pm[x] and some pn[y], the
     table is compared only on the distinct values ua and ub that pm and pn
     take there: on the ua x ub sub-block, read from the tile slices, when
     it is small against the tile, else on the whole tile. Each pair (x, y)
     then reads its own entry of that comparison, found by the ranks of
     pm[x] and pn[y], in one gather; a side whose values in the tile are
     all distinct needs no gather (the identity, bijective power maps).
+    When pm and pn are equal and the tiles square, the tile pairs (i, j)
+    with j < i are not read: x commutes with y as y does with x, so each
+    counts as many pairs as its mirror (j, i), which is counted twice.
 
     The count stays unweighted, with no multiplicity of pm or pn: it reads
-    every one of the n^2 pairs on its own, so it checks the pushforward
-    route in ``degrees``, which weights each pair of powers by how often it
-    occurs. Raises ValueError unless pm and pn are integer maps of length n
-    into [0, n).
+    each of the n^2 pairs, or its mirror, on its own, so it checks the
+    pushforward route in ``degrees``, which weights each pair of powers by
+    how often it occurs. Raises ValueError unless pm and pn are integer
+    maps of length n into [0, n).
     """
     mult = np.asarray(mult)
     n = len(mult)
     height, width = tile_shape(n)
     us, u_cut = _cut_at_tiles(pm, n, height, "pm")
     vs, v_cut = _cut_at_tiles(pn, n, width, "pn")
+    mirror = height == width and np.array_equal(pm, pn)
+    columns = []
+    for j, t in enumerate(range(0, n, width)):
+        b = vs[v_cut[j]:v_cut[j + 1]] - t
+        if len(b):
+            columns.append((t, b, *_distinct(b)))
     total = 0
     for i, s in enumerate(range(0, n, height)):
         a = us[u_cut[i]:u_cut[i + 1]] - s
         if not len(a):
             continue
         ua, ra = _distinct(a)
-        for j, t in enumerate(range(0, n, width)):
-            b = vs[v_cut[j]:v_cut[j + 1]] - t
-            if not len(b):
+        for t, b, ub, rb in columns:
+            if mirror and t < s:
                 continue
-            ub, rb = _distinct(b)
             rows, cols = mult[s:s + height, t:t + width], mult[t:t + width, s:s + height]
             if 2 * len(ua) * len(ub) < rows.size:  # few values: their sub-block
                 same = _sub_block(rows, ua, ub) == _sub_block(cols, ub, ua).T
-                total += _count_gathered(same, ra, rb)
+                count = _count_gathered(same, ra, rb)
             else:
                 same = rows == cols.T
-                total += _count_gathered(same, _unless_all(a, ra, len(rows)),
-                                         _unless_all(b, rb, len(cols)))
+                count = _count_gathered(same, _unless_all(a, ra, len(rows)),
+                                        _unless_all(b, rb, len(cols)))
+            total += 2 * count if mirror and t > s else count
     return total
 
 

@@ -148,6 +148,60 @@ def test_arbitrary_maps_past_one_tile(sweep_group):
     _assert_maps_match_oracle(swap_intercalate(table), "768 swapped")
 
 
+@pytest.fixture
+def tile_reads(monkeypatch):
+    """A list that gets one entry for each tile pair a count reads."""
+    reads = []
+    gathered = kernels._count_gathered
+
+    def counted(same, r, c):
+        reads.append(same.shape)
+        return gathered(same, r, c)
+
+    monkeypatch.setattr(kernels, "_count_gathered", counted)
+    return reads
+
+
+def _tiles_holding(image, size):
+    return len(np.unique(np.asarray(image) // size))
+
+
+def test_equal_maps_read_each_mirrored_tile_pair_once(sweep_group, sweep_oracle,
+                                                      tile_reads):
+    """On 3 x 3 tiles of 256, d and equal power maps read the 6 tile pairs
+    (i, j) with j >= i; two different maps read all 9."""
+    G = sweep_group
+    cube = power_map(G, 3)
+    identity = np.arange(G.order)
+    counts = {
+        "d": (lambda: kernels.count_commuting_pairs(G.mult), (1, 1), 6),
+        "cubes": (lambda: kernels.count_commuting_pairs_mn(G.mult, cube, cube), (3, 3), 6),
+        "identity, reversed": (lambda: kernels.count_commuting_pairs_mn(
+            G.mult, identity, identity[::-1]), (1, 1), 9),
+    }
+    for name, (count, powers, reads) in counts.items():
+        tile_reads.clear()
+        assert count() == sweep_oracle[powers], name
+        assert len(tile_reads) == reads, name
+    assert sweep_oracle[1, 1] == 368640
+
+
+def test_equal_maps_read_every_tile_pair_on_tiles_not_square(monkeypatch, sweep_group,
+                                                             sweep_oracle, tile_reads):
+    """Tiles of 3 x 2 entries have no mirror: equal maps read every tile
+    pair that holds some pm[x] and some pn[y]."""
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 7)
+    assert kernels.tile_shape(768) == (3, 2)
+    squares = power_map(sweep_group, 2)
+    got = kernels.count_commuting_pairs_mn(sweep_group.mult, squares, squares)
+    assert got == sweep_oracle[2, 2]
+    assert len(tile_reads) == _tiles_holding(squares, 3) * _tiles_holding(squares, 2)
+    G = dihedral(151)
+    tile_reads.clear()
+    assert kernels.count_commuting_pairs(G.mult) == oracle_commuting_count(G.mult.tolist())
+    assert len(tile_reads) == 101 * 151
+
+
 @pytest.mark.parametrize("pm", [[0, 1, 2, 3, 4, 5, 6], [0, 1, 2, 3, 4, 5, 6, 7, 0],
                                 [0, 1, 2, 3, -1, 5, 6, 7], [0, 1, 2, 3, 8, 5, 6, 7],
                                 [0.0, 1, 2, 3, 4, 5, 6, 7]],
