@@ -5,17 +5,31 @@ and the key carries the 64-bit seed, so any slice of trials can be
 generated independently and in any order with identical results. Output
 words depend only on (seed, trial, block, tag).
 
-The generator keeps its four state words as uint32 arrays and updates them
-in place. Each round writes the two 32x32 -> 64-bit products into two
-uint64 buffers that are allocated once and reused by every round (the
-multiply names its uint64 loop, so the product never wraps at 32 bits
-whatever the scalar-promotion rules of the NumPy version); the high
-and low 32-bit halves of a product are read as strided uint32 views of its
-buffer, so no shift or mask is needed. The round keys are Python ints.
+Trial indices fill the counter's two trial words, so there are 2^64
+substreams; ``words`` refuses an index outside [0, 2^64) rather than let
+it wrap onto trial 0.
 
-``words`` hands ``philox4x32`` each block's four output columns as ``out``,
-so a block is written once, straight into the (N, n_words) result; every
-block is still one ``philox4x32`` call on the full counter array.
+The generator holds its state in two paired lanes, each a (2, N) uint32
+array: a = (x0, x2), the words that are multiplied, and b = (x1, x3). A
+round is three ufunc calls: one multiply of a by the (2, 1) multiplier
+column (M0, M1) into a (2, N) uint64 product buffer p, then
+a = hi(p)[::-1] ^ b, then a ^= the round key. The multiply names its uint64
+loop and casts the multipliers into it, so a product never wraps at 32 bits
+whether they are written as uint32, uint64 or Python ints, and whatever the
+scalar-promotion rules of the NumPy version. The high and low
+halves of the products are strided uint32 views of the buffer, taken in
+swapped lane order, so no shift, mask or copy is needed: the next round's
+b is the low-half view itself. Two product buffers alternate, so that view
+survives the next multiply. The rounds keep a in the output's own columns,
+so the last round leaves only b to copy out.
+
+``words`` keeps the counter word-major, a (4, N) array whose transpose is
+the (N, 4) counter, and has ``philox4x32`` write block j into rows
+4j..4j+3 of a (4 * blocks, N) buffer, one call on all rows per block. It
+returns a transposed view of that buffer: the (N, n_words) result has the
+values and indexing of a row-major array, but each word column is
+contiguous, so the decoders, Box-Muller and the predicates read contiguous
+memory.
 """
 from __future__ import annotations
 
@@ -23,12 +37,14 @@ import sys
 
 import numpy as np
 
-_M0 = np.uint64(0xD2511F53)
-_M1 = np.uint64(0xCD9E8D57)
+# the round multipliers of the lanes (x0, x2), one row per lane
+_M = np.array([[0xD2511F53], [0xCD9E8D57]], dtype=np.uint64)
 _W0 = 0x9E3779B9
 _W1 = 0xBB67AE85
 _MASK32 = 0xFFFFFFFF
 _ROUNDS = 10
+# trials with a substream of their own: the counter's two trial words
+SUBSTREAMS = 1 << 64
 # positions of the low and high uint32 halves inside one uint64
 _LO, _HI = (0, 1) if sys.byteorder == "little" else (1, 0)
 
@@ -38,53 +54,66 @@ def philox4x32(counter: np.ndarray, key0: int, key1: int,
     """One Philox4x32-10 block per row of ``counter`` (shape (N, 4), uint32).
 
     Returns an (N, 4) uint32 array, written into ``out`` (any (N, 4) uint32
-    array, a strided view included) when given; ``counter`` is not
-    modified. The key words are taken mod 2^32.
+    array, a strided view included) when given, else a new array with
+    contiguous columns; ``counter`` is not modified. The key words are
+    taken mod 2^32.
     """
+    counter = np.asarray(counter, dtype=np.uint32)
     n = len(counter)
-    x0, x1, x2, x3 = (np.array(counter[:, i], dtype=np.uint32) for i in range(4))
-    p0 = np.empty(n, dtype=np.uint64)
-    p1 = np.empty(n, dtype=np.uint64)
-    hi0, lo0 = p0.view(np.uint32)[_HI::2], p0.view(np.uint32)[_LO::2]
-    hi1, lo1 = p1.view(np.uint32)[_HI::2], p1.view(np.uint32)[_LO::2]
+    if out is None:
+        out = np.empty((4, n), dtype=np.uint32).T
+    x = counter[:, 0::2].T  # the lanes (x0, x2), read by the first multiply
+    b = counter[:, 1::2].T  # the lanes (x1, x3)
+    a = out[:, 0::2].T  # the rounds write (x0, x2) straight into ``out``
+    # two product buffers, each with its high and low halves in swapped
+    # lane order; a round reads b from the other buffer. They are allocated
+    # apart: as one (2, 2, N) block they raised the peak RSS of a threaded
+    # estimate by about 1 MB, through malloc's adaptive mmap threshold
+    buffers = []
+    for p in (np.empty((2, n), dtype=np.uint64), np.empty((2, n), dtype=np.uint64)):
+        halves = p.view(np.uint32)[::-1]
+        buffers.append((p, halves[:, _HI::2], halves[:, _LO::2]))
     k0, k1 = key0 & _MASK32, key1 & _MASK32
-    for _ in range(_ROUNDS):
-        # dtype forces the 64-bit loop: NumPy 1.x value-based casting would
-        # otherwise pick the uint32 loop (the multipliers fit in 32 bits)
-        # and wrap each product before it reaches the buffer
-        np.multiply(x0, _M0, out=p0, dtype=np.uint64)
-        np.multiply(x2, _M1, out=p1, dtype=np.uint64)
-        np.bitwise_xor(hi1, x1, out=x0)
-        x0 ^= np.uint32(k0)
-        np.bitwise_xor(hi0, x3, out=x2)
-        x2 ^= np.uint32(k1)
-        np.copyto(x1, lo1)
-        np.copyto(x3, lo0)
-        k0 = (k0 + _W0) & _MASK32
-        k1 = (k1 + _W1) & _MASK32
-    return np.stack([x0, x1, x2, x3], axis=1, out=out)
+    keys = np.array([[[(k0 + r * _W0) & _MASK32], [(k1 + r * _W1) & _MASK32]]
+                     for r in range(_ROUNDS)], dtype=np.uint32)
+    for r in range(_ROUNDS):
+        p, hi, lo = buffers[r % 2]
+        np.multiply(x, _M, out=p, dtype=np.uint64, casting="unsafe")
+        np.bitwise_xor(hi, b, out=a)
+        a ^= keys[r]
+        x, b = a, lo
+    np.copyto(out[:, 1::2].T, b)
+    return out
 
 
 def words(seed: int, trial_lo: int, trial_hi: int, n_words: int, tag: int) -> np.ndarray:
     """uint32 words for trials [trial_lo, trial_hi): shape (N, n_words).
 
     Word j of trial i is word j % 4 of the Philox block with counter
-    (i_low32, i_high32, j // 4, tag) under key = seed.
+    (i_low32, i_high32, j // 4, tag) under key = seed. Trial indices must
+    lie in [0, 2^64), the counter's 64 trial bits. The result is a
+    transposed view of a word-major buffer: each of its columns is
+    contiguous.
     """
+    if not 0 <= trial_lo < SUBSTREAMS or trial_hi > SUBSTREAMS:
+        raise ValueError(f"trial indices must lie in [0, 2^64), got [{trial_lo}, {trial_hi})")
     seed &= (1 << 64) - 1
-    k0, k1 = seed & 0xFFFFFFFF, seed >> 32
-    trials = np.arange(trial_lo, trial_hi, dtype=np.uint64)
-    n = len(trials)
+    k0, k1 = seed & _MASK32, seed >> 32
+    n = max(trial_hi - trial_lo, 0)
+    trials = np.arange(n, dtype=np.uint64)
+    trials += np.uint64(trial_lo)
+    halves = trials.view(np.uint32)
     blocks = (n_words + 3) // 4
-    out = np.empty((n, 4 * blocks), dtype=np.uint32)
-    ctr = np.empty((n, 4), dtype=np.uint32)
-    ctr[:, 0] = (trials & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-    ctr[:, 1] = (trials >> np.uint64(32)).astype(np.uint32)
-    ctr[:, 3] = tag
+    buf = np.empty((4 * blocks, n), dtype=np.uint32)
+    ctr = np.empty((4, n), dtype=np.uint32)
+    ctr[0] = halves[_LO::2]
+    ctr[1] = halves[_HI::2]
+    ctr[3] = tag
+    del trials, halves  # free the 64-bit indices before the rounds allocate
     for b in range(blocks):
-        ctr[:, 2] = b
-        philox4x32(ctr, k0, k1, out=out[:, 4 * b : 4 * b + 4])
-    return out[:, :n_words]
+        ctr[2] = b
+        philox4x32(ctr.T, k0, k1, out=buf[4 * b : 4 * b + 4].T)
+    return buf.T[:, :n_words]
 
 
 def to_uniform(w: np.ndarray) -> np.ndarray:

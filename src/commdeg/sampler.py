@@ -22,7 +22,17 @@ run on a thread pool (numpy releases the GIL inside the ufunc loops,
 gathers and transcendentals that make up Philox, the decoders and the
 predicates). The success counts are integers, and their sum does not
 depend on the order in which sub-chunks finish, so every estimate is the
-same on any number of CPUs.
+same on any number of CPUs. There are 2^64 substreams, so ``sample`` and
+the estimators refuse more than 2^64 trials, and the sub-chunks are
+walked lazily with at most 2 * ``_WORKERS`` of them queued, so no list
+grows with the trial count.
+
+``words`` returns word-major columns: the (N, k) array is a transposed
+view whose every column is contiguous (see rng.py). The decoders index
+words by column, so ``from_words`` reads contiguous memory, and the
+uniforms and Gaussians it builds keep that column-major layout for the
+power maps and predicates. The decoders and predicates give the same
+bits on a row-major copy of the words; only the speed depends on layout.
 
 Angles live in R/Z. Reduction mod 1 is written ``x - floor(x)``, which is
 ``x % 1.0`` bit for bit: for x >= 0 the fractional part is a double and
@@ -65,7 +75,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from commdeg.errors import PresetMismatch
-from commdeg.rng import gaussians_from_uniforms, to_uniform, words
+from commdeg.rng import SUBSTREAMS, gaussians_from_uniforms, to_uniform, words
 from commdeg.schemas import build_named
 
 if TYPE_CHECKING:
@@ -434,10 +444,16 @@ def _resolve(preset):
     return _named_preset(preset) if isinstance(preset, str) else preset
 
 
+def _check_count(count: int, what: str):
+    if count > SUBSTREAMS:
+        raise ValueError(f"{what} must be at most 2^64, one RNG substream each")
+
+
 def sample(preset, count: int, seed: int):
     """``count`` Haar samples as SampledElements, one per RNG substream."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    _check_count(count, "count")
     p = _resolve(preset)
     out = []
     for lo in range(0, count, _CHUNK):
@@ -474,18 +490,26 @@ def _successes(p, m, n, seed, lo, hi):
 
 def _success_count(p, m, n, trials, seed) -> int:
     """Successes over all trials, one sub-chunk of _CHUNK // _WORKERS
-    trials per task, so at most _CHUNK rows are in flight. ``p`` is a
-    preset object: names are resolved by the caller, so the threads never
-    touch the name cache."""
-    los = range(0, trials, _CHUNK // _WORKERS)
-    his = [*los[1:], trials]
+    trials per task. The sub-chunk bounds are walked lazily and at most
+    2 * _WORKERS tasks wait at a time, so at most _CHUNK rows are in flight
+    and nothing grows with ``trials``. ``p`` is a preset object: names are
+    resolved by the caller, so the threads never touch the name cache."""
+    step = _CHUNK // _WORKERS
+    bounds = ((lo, min(lo + step, trials)) for lo in range(0, trials, step))
     count = partial(_successes, p, m, n, seed)
-    if _WORKERS == 1 or len(los) == 1:
-        return sum(map(count, los, his))
+    if _WORKERS == 1 or trials <= step:
+        return sum(count(lo, hi) for lo, hi in bounds)
+    from collections import deque
     from concurrent.futures import ThreadPoolExecutor
 
+    total = 0
     with ThreadPoolExecutor(_WORKERS) as pool:
-        return sum(pool.map(count, los, his))
+        pending = deque()
+        for lo, hi in bounds:
+            if len(pending) == 2 * _WORKERS:
+                total += pending.popleft().result()
+            pending.append(pool.submit(count, lo, hi))
+        return total + sum(f.result() for f in pending)
 
 
 def estimate_degree_mn(preset, m: int, n: int, trials: int, seed: int) -> Estimate:
@@ -493,6 +517,7 @@ def estimate_degree_mn(preset, m: int, n: int, trials: int, seed: int) -> Estima
     p = _resolve(preset)
     if trials < 100:
         raise ValueError("need at least 100 trials")
+    _check_count(trials, "trials")
     if m < 1 or n < 1:
         raise ValueError("powers must be >= 1")
     successes = _success_count(p, m, n, trials, seed)

@@ -320,6 +320,12 @@ def test_estimate_rejects_tiny_trials():
     assert out.returncode == 1
 
 
+@pytest.mark.parametrize("preset", ["su2", "quaternion8"])
+def test_estimate_refuses_more_trials_than_substreams(capsys, preset):
+    assert cli.main(["estimate", "--preset", preset, "--trials", str((1 << 64) + 1)]) == 1
+    assert capsys.readouterr().err == "error: trials must be at most 2^64, one RNG substream each\n"
+
+
 @pytest.mark.parametrize("args", [
     ("degree", "--preset", "s3", "--n", "abc"),
     ("degree", "--preset", "s3", "--bogus"),

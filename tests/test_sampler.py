@@ -112,10 +112,10 @@ def test_philox_reads_a_non_contiguous_counter_and_leaves_it_unchanged():
 
 @pytest.mark.parametrize("scalar", [np.uint32, int])
 def test_philox_products_never_wrap_at_32_bits(monkeypatch, scalar):
-    # NumPy 1.x value-based casting treats a uint64 multiplier that fits in
-    # 32 bits like these scalars; the 64-bit product must survive either way
-    monkeypatch.setattr(rng, "_M0", scalar(0xD2511F53))
-    monkeypatch.setattr(rng, "_M1", scalar(0xCD9E8D57))
+    # a multiplier column of uint32 words or of Python ints would pick a
+    # 32-bit or signed loop unless the multiply names the uint64 one; the
+    # 64-bit product must survive either way
+    monkeypatch.setattr(rng, "_M", [[scalar(0xD2511F53)], [scalar(0xCD9E8D57)]])
     ctr = _random_counters(256, 9)
     out = philox4x32(ctr, 123, 456)
     assert [tuple(map(int, row)) for row in out] == _oracle_blocks(ctr, 123, 456)
@@ -150,15 +150,34 @@ def test_product_halves_follow_the_byte_order():
 
 def test_words_follow_the_counter_layout():
     seed = (0x01234567 << 32) | 0x89ABCDEF
-    lo = (5 << 32) - 3  # trial indices cross into the counter's high word
-    out = words(seed, lo, lo + 6, 9, tag=7)
-    for i, row in enumerate(out):
-        trial = lo + i
-        for j, word in enumerate(row):
-            block = oracle_philox4x32(
-                (trial & 0xFFFFFFFF, trial >> 32, j // 4, 7), (0x89ABCDEF, 0x01234567)
-            )
-            assert int(word) == block[j % 4]
+    # trial indices that cross into the counter's high word, and the last six
+    for lo in ((5 << 32) - 3, (1 << 64) - 6):
+        out = words(seed, lo, lo + 6, 9, tag=7)
+        for i, row in enumerate(out):
+            trial = lo + i
+            for j, word in enumerate(row):
+                block = oracle_philox4x32(
+                    (trial & 0xFFFFFFFF, trial >> 32, j // 4, 7), (0x89ABCDEF, 0x01234567)
+                )
+                assert int(word) == block[j % 4]
+
+
+def test_words_refuse_trials_past_the_counter():
+    # the counter holds 64 trial bits: trial 2^64 would wrap onto trial 0
+    for lo, hi in ((2**64 - 2, 2**64 + 2), (2**64, 2**64 + 1), (2**64, 2**64), (-1, 3)):
+        with pytest.raises(ValueError, match="trial indices"):
+            words(1, lo, hi, 4, tag=0)
+    with pytest.raises(ValueError, match="at most 2"):
+        sample("dihedral", 2**64 + 1, 0)
+    with pytest.raises(ValueError, match="at most 2"):
+        estimate_degree_mn("su2", 1, 1, 99999999999999999999, 0)
+
+
+def test_words_columns_are_contiguous():
+    for k in (1, 2, 4, 5, 9):
+        w = words(3, 10, 1010, k, tag=0)
+        assert w.shape == (1000, k)
+        assert all(w[:, j].flags.c_contiguous for j in range(k)), k
 
 
 @pytest.mark.parametrize("k", range(1, 10))
@@ -233,6 +252,22 @@ def _leaves(arrays):
     if isinstance(arrays, (list, tuple)):
         return [leaf for part in arrays for leaf in _leaves(part)]
     return [arrays]
+
+
+@pytest.mark.parametrize("p", _every_preset(), ids=lambda p: p.name)
+def test_decoders_and_predicates_do_not_depend_on_the_word_layout(p):
+    # words() hands out word-major columns; a row-major copy must decode to
+    # the same bits and count the same successes
+    w = [words(4, 0, 3000, p.words_per_element, tag) for tag in (0, 1)]
+    cols = [p.from_words(wt) for wt in w]
+    rows = [p.from_words(np.ascontiguousarray(wt)) for wt in w]
+    for c, r in zip(cols, rows):
+        _same_bits(c, r)
+    for m, n in ((1, 1), (2, 3)):
+        by_cols = sampler_mod._commute_mask(p, *cols, m, n)
+        by_rows = sampler_mod._commute_mask(p, *rows, m, n)
+        assert np.array_equal(by_cols, by_rows), (m, n)
+        assert int(by_cols.sum()) == int(by_rows.sum()), (m, n)
 
 
 @pytest.mark.parametrize("p", _every_preset(), ids=lambda p: p.name)
@@ -637,6 +672,29 @@ def test_pinned_success_counts_hold_on_every_worker_count(monkeypatch, workers):
     monkeypatch.setattr(sampler_mod, "_WORKERS", workers)
     for name, m, n, successes in PINNED_COUNTS:
         assert estimate_degree_mn(name, m, n, 131075, 2026).successes == successes, name
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sub_chunk_bounds_are_walked_lazily(monkeypatch, workers):
+    # 2^64 trials: a list of the bounds would not fit in memory
+    monkeypatch.setattr(sampler_mod, "_WORKERS", workers)
+    step = sampler_mod._CHUNK // workers
+    lock = threading.Lock()
+    seen = []
+
+    def successes(p, m, n, seed, lo, hi):
+        with lock:
+            seen.append((lo, hi))
+            if len(seen) == 40:
+                raise ArithmeticError("stop")
+        return 1
+
+    monkeypatch.setattr(sampler_mod, "_successes", successes)
+    with pytest.raises(ArithmeticError, match="stop"):
+        sampler_mod._success_count(None, 1, 1, rng.SUBSTREAMS, 0)
+    # tasks already waiting still run, but at most 2 * workers of them
+    assert 40 <= len(seen) <= 40 + 2 * workers
+    assert sorted(seen) == [(lo, lo + step) for lo in range(0, len(seen) * step, step)]
 
 
 class FailsOnSecondSubChunk(sampler_mod.TorusPreset):
